@@ -27,7 +27,7 @@
 //! enforces this by construction: a cold project is pinned to a worker
 //! before its first request is forwarded, stays pinned until an eviction
 //! completes (the worker acknowledges with a `RouterMsg::Evicted` after
-//! flushing and checkpointing), and requests arriving mid-eviction are
+//! flushing), and requests arriving mid-eviction are
 //! parked at the router and re-dispatched after the acknowledgement.
 //! Inside a worker each service is exactly the single-threaded
 //! interpreter of [`crate::engine::service`] — the fleet adds routing
@@ -41,16 +41,20 @@
 //!           activate (pin to least-loaded worker)
 //!   Cold ───────────────────────────────────────────▶ Resident
 //!    ▲                                                   │
-//!    │  Evicted ack (worker flushed + checkpointed)      │ LRU victim
+//!    │  Evicted ack (worker flushed)                     │ LRU victim
 //!    └──────────────────────────── Evicting ◀────────────┘
 //! ```
 //!
 //! Activation is lazy and goes through the journal: the worker builds a
 //! service from the shared compiled blueprint and either recovers
 //! `snapshot + journal` (warm disk state) or enables a fresh journal
-//! (first activation). Eviction flushes the group-commit buffer and
-//! folds the journal into a checkpoint, so a cold project is exactly
-//! `snapshot.ddb` + an empty journal tail — which is why an
+//! (first activation). Eviction only flushes the group-commit buffer:
+//! a cold project is `snapshot.ddb` + a durable journal tail of fewer
+//! than `checkpoint_every` records — the same files a crash right after
+//! that flush would leave. Recovery replays the tail and *continues*
+//! the journal in place (same epoch, next sequence number, resumed link
+//! tags), so an LRU cycle writes nothing that is already durable and
+//! checkpoints happen at the `checkpoint_every` cadence only. An
 //! evict/reactivate cycle is byte-identical to a server that never
 //! evicted (proven in `tests/fleet.rs`).
 //!
@@ -401,7 +405,7 @@ struct FleetShared {
 enum RouterMsg {
     /// A client request (attach, list, or a routable project command).
     Client(Envelope),
-    /// A worker finished evicting `project` (flushed + checkpointed).
+    /// A worker finished evicting `project` (flushed).
     Evicted { project: String },
     /// The last [`FleetHandle`]/[`FleetSession`] was dropped.
     Shutdown,
@@ -412,7 +416,7 @@ enum RouterMsg {
 enum WorkerMsg {
     /// Execute one request against `project` (activating it if cold).
     Execute { project: String, env: Envelope },
-    /// Flush + checkpoint `project`, drop it, and acknowledge with
+    /// Flush `project`, drop it, and acknowledge with
     /// [`RouterMsg::Evicted`].
     Evict { project: String },
 }
@@ -512,7 +516,7 @@ pub struct FleetJoin {
 
 impl FleetJoin {
     /// Waits for the router and every worker to exit (each worker
-    /// flushes and checkpoints its resident projects on the way out).
+    /// flushes its resident projects on the way out).
     pub fn join(self) {
         let _ = self.router.join();
         for worker in self.workers {
@@ -644,7 +648,7 @@ impl Router {
         }
         // Parked requests will never run: say so instead of hanging the
         // client. Dropping the worker senders (with `self`) disconnects
-        // the workers, which flush + checkpoint their residents and exit.
+        // the workers, which flush their residents and exit.
         for (_, queue) in self.parked.drain() {
             for env in queue {
                 env.respond(Response::Error(loop_gone()));
@@ -1028,8 +1032,8 @@ where
         }
         debug_assert!(pending.is_empty());
     }
-    // Channel disconnected (fleet shutdown): flush + checkpoint every
-    // resident project on the way out.
+    // Channel disconnected (fleet shutdown): flush every resident
+    // project on the way out.
     for project in std::mem::take(&mut touched) {
         settle_project(&mut resident, &mut pending, &project);
     }
@@ -1145,15 +1149,15 @@ where
     }
 }
 
-/// Flushes the group-commit buffer and folds the journal into a fresh
-/// checkpoint, leaving the cold form (`snapshot.ddb` + empty tail) on
-/// disk — then drops the service.
+/// Flushes the group-commit buffer — leaving the cold form
+/// (`snapshot.ddb` + a durable tail shorter than `checkpoint_every`) on
+/// disk, exactly what a crash after that flush would leave — then drops
+/// the service. The next activation continues the journal in place.
 fn retire<E>(mut svc: ProjectService<E>, shared: &FleetShared)
 where
     E: ScriptExecutor + Default,
 {
     let _ = svc.set_group_commit(false); // flushes buffered ops
-    let _ = svc.call(Request::Checkpoint);
     shared.counters.resident.fetch_sub(1, Ordering::Relaxed);
     shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
 }

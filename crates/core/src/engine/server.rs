@@ -60,18 +60,17 @@ impl ProcessReport {
 
 /// The wave worker count new servers start with: the
 /// `DAMOCLES_WAVE_WORKERS` environment variable when it parses (floored
-/// at 1), else the machine's available hardware parallelism. Sharded
-/// waves are byte-identical to sequential execution at every worker
-/// count, so parallelism is the default; `workers 1` (shell) or
-/// `--wave-workers 1` (server binary) is the sequential opt-out, and the
-/// environment knob lets CI force the parallel path on any suite.
+/// at 1), else 1 — sequential draining. Sharded waves are byte-identical
+/// to sequential execution at every worker count but measure slower than
+/// it on the benches (`waves/instance_chains`, `waves/parallel`), so they
+/// are opt-in: `workers N` (shell), `--wave-workers N` (server binary),
+/// or the environment knob, which also lets CI force the sharded path on
+/// any suite.
 pub fn default_wave_workers() -> usize {
-    if let Ok(raw) = std::env::var("DAMOCLES_WAVE_WORKERS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    std::env::var("DAMOCLES_WAVE_WORKERS")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .map_or(1, |n| n.max(1))
 }
 
 /// Snapshot file name inside a durability directory.
@@ -709,18 +708,25 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         };
         let snapshot = std::fs::read_to_string(d.dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
         let bytes = std::fs::read(d.dir.join(JOURNAL_FILE)).map_err(journal_io)?;
-        let text = String::from_utf8_lossy(&bytes);
+        self.publish_on_disk(d.epoch, d.term, snapshot, &bytes);
+        Ok(())
+    }
+
+    /// Publishes committed on-disk state of `(epoch, term)` to the tail
+    /// hub: the snapshot, then every complete record line of the journal
+    /// `bytes` (the header is skipped; only newline-terminated lines are
+    /// committed records — a torn fragment, impossible outside a crash,
+    /// is not).
+    fn publish_on_disk(&self, epoch: u64, term: u64, snapshot: String, bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
         let mut lines = text.split_inclusive('\n');
         let _header = lines.next();
-        self.tail.publish_enable(d.epoch, d.term, snapshot);
+        self.tail.publish_enable(epoch, term, snapshot);
         self.tail.publish_records(
-            // Only newline-terminated lines are committed records; a
-            // torn fragment (impossible outside a crash) is not.
             lines
                 .filter(|l| l.ends_with('\n'))
                 .map(|l| l.trim_end().to_string()),
         );
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -876,9 +882,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// Restores the project from a durability directory: loads
     /// `snapshot + journal tail`, replays the tail through the normal
     /// database API (rebuilding indices and interned bitsets rather than
-    /// trusting them), adopts the result, and folds it into a fresh
-    /// checkpoint so journaling continues cleanly from the recovered
-    /// state.
+    /// trusting them), adopts the result, and brings journaling back up.
+    ///
+    /// A journal whose header matches the snapshot's `(epoch, term)` and
+    /// whose tail is clean is **continued**: reopened for append at its
+    /// next sequence number, with link tags, the fold counter and the
+    /// pending work resumed from the replay — nothing already durable is
+    /// written again, and the epoch does not move. A stale, torn or
+    /// missing journal is **folded** instead: the recovered state becomes
+    /// a fresh checkpoint at the next epoch under the recovered term.
     ///
     /// # Errors
     ///
@@ -900,19 +912,54 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(journal_io(e)),
         };
-        let recovered = journal::recover(&snapshot, &journal_bytes)?;
+        let journal::Recovered {
+            db,
+            workspace,
+            report,
+            pending,
+            tags,
+            next_tag,
+            append_at,
+        } = journal::recover(&snapshot, &journal_bytes)?;
         self.durability = None;
-        self.adopt_project(recovered.db, recovered.workspace);
-        // Recovery continues the on-disk reign: the fresh checkpoint is
-        // written under the recovered snapshot's term (promotion, which
-        // BUMPS the term, goes through `promote_journal` instead).
-        self.term = recovered.report.term;
-        self.enable_journal(dir, checkpoint_every)?;
-        // Work records survive even a stale journal (they have no
-        // snapshot representation): re-enqueue unprocessed events and
-        // re-dispatch in-flight invocations under their original ids.
-        self.restore_pending_work(recovered.pending)?;
-        Ok(recovered.report)
+        self.adopt_project(db, workspace);
+        // Recovery continues the on-disk reign: either path journals
+        // under the recovered snapshot's term (promotion, which BUMPS the
+        // term, goes through `promote_journal` instead).
+        self.term = report.term;
+        match append_at {
+            Some(seq) => {
+                let writer = JournalWriter::open_append(
+                    dir.join(JOURNAL_FILE),
+                    report.epoch,
+                    report.term,
+                    seq,
+                )
+                .map_err(journal_io)?;
+                self.db.attach_journal_resumed(&tags, next_tag);
+                self.journal_poisoned = false;
+                self.durability = Some(Durability {
+                    dir,
+                    writer,
+                    epoch: report.epoch,
+                    term: report.term,
+                    checkpoint_every: checkpoint_every.max(1),
+                    ops_since_checkpoint: seq,
+                    force_checkpoint: false,
+                });
+                self.publish_on_disk(report.epoch, report.term, snapshot, &journal_bytes);
+                // The pending work's records are already in this journal.
+                self.restore_pending_work(pending, false)?;
+            }
+            None => {
+                self.enable_journal(dir, checkpoint_every)?;
+                // Work records survive even a stale journal (they have no
+                // snapshot representation): re-journal them into the
+                // fresh epoch.
+                self.restore_pending_work(pending, true)?;
+            }
+        }
+        Ok(report)
     }
 
     /// Reconstructs the historical project image at journal cursor
@@ -1658,17 +1705,20 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         for invocation in invocations {
             let id = self.next_invoke_id;
             self.next_invoke_id += 1;
-            self.dispatch_one(id, invocation, report)?;
+            self.dispatch_one(id, invocation, true, report)?;
         }
         Ok(())
     }
 
     /// Dispatches one invocation under a fixed id (recovery re-dispatch
-    /// reuses the id the crashed run was journaled under).
+    /// reuses the id the crashed run was journaled under). `journal_queued`
+    /// is false when the `InvokeQueued` record is already in the open
+    /// journal (re-dispatch into a continued journal).
     fn dispatch_one(
         &mut self,
         id: u64,
         invocation: ScriptInvocation,
+        journal_queued: bool,
         report: &mut ProcessReport,
     ) -> Result<(), EngineError> {
         let queued_op = self.durability.is_some().then(|| JournalOp::InvokeQueued {
@@ -1679,7 +1729,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             origin: invocation.origin.clone(),
             event: invocation.event.clone(),
         });
-        if let Some(op) = queued_op.clone() {
+        if let Some(op) = queued_op.clone().filter(|_| journal_queued) {
             self.db.record_extra(op);
         }
         let prepared = {
@@ -1832,12 +1882,17 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Re-animates the accepted-but-unfinished work a recovered journal
-    /// carried: pending events return to the queue (and are re-journaled
-    /// into the fresh epoch), in-flight invocations re-dispatch through
-    /// the executor under their original ids — the at-least-once half of
-    /// the durable work queue. Targets that no longer resolve are dropped,
-    /// mirroring the lenient enqueue.
-    fn restore_pending_work(&mut self, pending: journal::PendingWork) -> Result<(), EngineError> {
+    /// carried: pending events return to the queue, in-flight invocations
+    /// re-dispatch through the executor under their original ids — the
+    /// at-least-once half of the durable work queue. With `rejournal`
+    /// (the fold path) their work records are written again into the
+    /// fresh epoch; a continued journal already holds them. Targets that
+    /// no longer resolve are dropped, mirroring the lenient enqueue.
+    fn restore_pending_work(
+        &mut self,
+        pending: journal::PendingWork,
+        rejournal: bool,
+    ) -> Result<(), EngineError> {
         self.next_event_seq = self.next_event_seq.max(pending.next_event_seq);
         self.next_invoke_id = self.next_invoke_id.max(pending.next_invoke_id);
         for op in pending.events {
@@ -1872,8 +1927,10 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 user,
                 seq: Some(seq),
             };
-            if let Some(op) = event_queued_op(&self.db, &ev) {
-                self.db.record_extra(op);
+            if rejournal {
+                if let Some(op) = event_queued_op(&self.db, &ev) {
+                    self.db.record_extra(op);
+                }
             }
             self.queue.enqueue(ev);
         }
@@ -1897,7 +1954,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 origin,
                 event,
             };
-            self.dispatch_one(id, invocation, &mut report)?;
+            self.dispatch_one(id, invocation, rejournal, &mut report)?;
         }
         self.journal_sync(None)?;
         Ok(())

@@ -1006,6 +1006,19 @@ impl MetaDb {
         self.journal = Some(recorder);
     }
 
+    /// Attaches a journal recorder that continues an existing journal
+    /// instead of starting one: links keep the tags `tags` (journal tag →
+    /// link, as [`crate::journal::Recovered::tags`] rebuilt them from the
+    /// snapshot and the replayed records) and new links are tagged from
+    /// `next_tag` on, so records appended after a restart refer to links
+    /// exactly as the records before it did.
+    ///
+    /// `tags` must cover every live link (recovery's map does).
+    pub fn attach_journal_resumed(&mut self, tags: &HashMap<u64, LinkId>, next_tag: u64) {
+        assert_eq!(tags.len(), self.link_count(), "every live link has a tag");
+        self.journal = Some(JournalRecorder::resumed(tags, next_tag));
+    }
+
     /// Detaches the journal recorder, discarding any undrained ops.
     pub fn detach_journal(&mut self) {
         self.journal = None;

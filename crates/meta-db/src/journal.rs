@@ -19,7 +19,10 @@
 //! * [`recover`] — loads `snapshot + journal tail` and replays the tail
 //!   **through the normal [`MetaDb`] API**, so invariants (interned event
 //!   bitsets, version chains, the property index, link incidence) are
-//!   rebuilt rather than trusted from the file.
+//!   rebuilt rather than trusted from the file. When the journal matches
+//!   its snapshot and ends cleanly, [`Recovered::append_at`] lets the
+//!   server reopen it with [`JournalWriter::open_append`] and keep
+//!   journaling into the same epoch.
 //! * [`compact`] — folds `snapshot + tail` into a fresh snapshot at the
 //!   next epoch.
 //! * [`decode_record`] / [`apply_op`] — the per-record halves of recovery,
@@ -546,6 +549,17 @@ pub struct JournalRecorder {
 }
 
 impl JournalRecorder {
+    /// A recorder continuing an existing journal: `tags` maps journal tag
+    /// → live link (as [`recover`] rebuilt it) and `next_tag` is the first
+    /// tag the journal has not used yet.
+    pub(crate) fn resumed(tags: &HashMap<u64, LinkId>, next_tag: u64) -> Self {
+        JournalRecorder {
+            ops: Vec::new(),
+            tags: tags.iter().map(|(&tag, &id)| (id, tag)).collect(),
+            next_tag,
+        }
+    }
+
     pub(crate) fn record(&mut self, op: JournalOp) {
         self.ops.push(op);
     }
@@ -860,9 +874,12 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalTail, JournalError> {
 
 /// Append-only journal file writer.
 ///
-/// Created fresh (never appended across restarts — recovery folds the old
-/// journal into a checkpoint and starts a new one, so every writer owns its
-/// file's whole record space from sequence 0).
+/// Either created fresh at a checkpoint ([`JournalWriter::create`], record
+/// space from sequence 0) or reopened by recovery to continue a journal
+/// whose header matches its snapshot and whose tail is clean
+/// ([`JournalWriter::open_append`], from [`Recovered::append_at`]). A
+/// stale or torn journal is never appended to: recovery folds it into a
+/// checkpoint instead.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -893,6 +910,39 @@ impl JournalWriter {
             epoch,
             term,
             seq: 0,
+        })
+    }
+
+    /// Reopens the journal at `path` for append, continuing at record
+    /// `seq` — the restart half of a journal's life. The caller has
+    /// verified (through [`recover`]) that the file's header is
+    /// `(epoch, term)` and that it holds exactly `seq` valid records
+    /// ending on a newline ([`Recovered::append_at`]), so new records
+    /// extend it without a gap.
+    ///
+    /// The adopted prefix is synced before the writer is returned: a
+    /// record that was written but not yet synced when the previous
+    /// process died is part of the recovered state, so it must be on
+    /// stable storage before anything built on it is acknowledged.
+    ///
+    /// # Errors
+    ///
+    /// File-system errors.
+    pub fn open_append(
+        path: impl AsRef<Path>,
+        epoch: u64,
+        term: u64,
+        seq: u64,
+    ) -> Result<Self, std::io::Error> {
+        let path = path.as_ref().to_path_buf();
+        let file = fs::OpenOptions::new().append(true).open(&path)?;
+        file.sync_data()?;
+        Ok(JournalWriter {
+            file,
+            path,
+            epoch,
+            term,
+            seq,
         })
     }
 
@@ -1023,6 +1073,22 @@ pub struct Recovered {
     /// events and in-flight invocations for the server layer to
     /// re-dispatch.
     pub pending: PendingWork,
+    /// The replay's journal-tag map (tag → link address in [`Recovered::db`]):
+    /// snapshot links in image order, then every replayed `AddLink` /
+    /// `RemoveLink`. Together with [`Recovered::next_tag`] it is what
+    /// [`MetaDb::attach_journal_resumed`] needs to keep journaling into the
+    /// same file.
+    pub tags: HashMap<u64, LinkId>,
+    /// The first journal tag never used in this epoch: past every snapshot
+    /// link's image-order tag and every replayed `AddLink` tag (including
+    /// links unlinked since), so a continued journal never reuses one.
+    pub next_tag: u64,
+    /// `Some(n)` when the journal can be continued in place: its header
+    /// matches the snapshot's `(epoch, term)`, the whole file parsed as `n`
+    /// records with no torn tail, and it ends on a newline. `None` when
+    /// the journal is missing, stale, torn, or cut by a replay cursor — the
+    /// caller must fold into a fresh checkpoint instead.
+    pub append_at: Option<u64>,
 }
 
 /// Work-queue records of a journal that never reached their terminal
@@ -1161,8 +1227,8 @@ pub fn recover_until(
     };
 
     let mut tail = parse_journal(journal)?;
+    let available = tail.ops.len() as u64;
     if let Some(limit) = limit {
-        let available = tail.ops.len() as u64;
         if limit > available {
             return Err(JournalError::Corrupt {
                 line: 0,
@@ -1184,18 +1250,26 @@ pub fn recover_until(
         }
         _ => false, // torn header: no usable tail
     };
+    // A writer may continue the file only where it ends: every record
+    // replayed, none torn, the last one newline-terminated.
+    let append_at = (replay
+        && tail.torn.is_none()
+        && limit.is_none_or(|l| l == available)
+        && journal.ends_with(b"\n"))
+    .then_some(available);
     report.torn_tail = tail.torn;
 
+    // Tag map: links already in the snapshot get tags in image order —
+    // the same assignment MetaDb::attach_journal made after the
+    // checkpoint that wrote this snapshot.
+    let mut tags: HashMap<u64, LinkId> = db
+        .links_in_image_order()
+        .into_iter()
+        .enumerate()
+        .map(|(i, id)| (i as u64, id))
+        .collect();
+    let mut next_tag = tags.len() as u64;
     if replay {
-        // Tag map: links already in the snapshot get tags in image order —
-        // the same assignment MetaDb::attach_journal made after the
-        // checkpoint that wrote this snapshot.
-        let mut tags: HashMap<u64, LinkId> = db
-            .links_in_image_order()
-            .into_iter()
-            .enumerate()
-            .map(|(i, id)| (i as u64, id))
-            .collect();
         for (i, op) in tail.ops.iter().enumerate() {
             apply_op(&mut db, &mut workspace, &mut tags, op).map_err(|reason| {
                 JournalError::Replay {
@@ -1203,6 +1277,9 @@ pub fn recover_until(
                     reason,
                 }
             })?;
+            if let JournalOp::AddLink { tag, .. } = op {
+                next_tag = next_tag.max(tag + 1);
+            }
             report.replayed_ops += 1;
         }
     }
@@ -1217,6 +1294,9 @@ pub fn recover_until(
         workspace,
         report,
         pending,
+        tags,
+        next_tag,
+        append_at,
     })
 }
 

@@ -23,11 +23,11 @@
 //! batch takes exactly what is queued when it forms, so an idle client
 //! pays one fsync of latency while a burst amortizes one append+fsync
 //! across the whole backlog — a reply in hand always means the effect is
-//! durable. There is no batch-size knob to tune. Each `process` drain is
-//! sharded across wave worker threads — hardware parallelism by default
-//! (sharded waves are byte-identical to sequential execution);
-//! `--wave-workers N` overrides the count and `--wave-workers 1` opts
-//! back into sequential draining (see `DESIGN.md` §9).
+//! durable. There is no batch-size knob to tune. Each `process` drain
+//! runs sequentially by default; `--wave-workers N` (or the
+//! `DAMOCLES_WAVE_WORKERS` environment variable) opts into sharding it
+//! across `N` wave worker threads, byte-identical to sequential execution
+//! (see `DESIGN.md` §9).
 //!
 //! **Follower** (`--follow <leader-addr>`): a read-only replica. It
 //! connects to a journaling leader, bootstraps from the leader's
@@ -47,9 +47,9 @@
 //! directory holds one journal dir per project; sessions attach with
 //! `project <name>` (add `new` to register) and are routed onto
 //! `--engine-workers N` engine threads, with at most `--max-active M`
-//! projects in memory — idle ones are LRU-evicted through their
-//! checkpoints and lazily recovered on the next request. All tenants
-//! share one compiled blueprint. See `DESIGN.md` §12.
+//! projects in memory — idle ones are LRU-evicted by a journal flush
+//! and lazily recovered, continuing their journals, on the next request.
+//! All tenants share one compiled blueprint. See `DESIGN.md` §12.
 //!
 //! ```console
 //! $ damocles_server edtc.bp --fleet ./projects --engine-workers 4 --max-active 8
@@ -295,9 +295,8 @@ fn main() {
         }
     }
 
-    // Without the flag the service defaults to hardware parallelism
-    // (or `DAMOCLES_WAVE_WORKERS`); an explicit value always wins, and
-    // `--wave-workers 1` is the sequential opt-out.
+    // Without the flag the service drains sequentially (or uses
+    // `DAMOCLES_WAVE_WORKERS`); an explicit value always wins.
     if let Some(workers) = wave_workers {
         match service.call(Request::SetWaveWorkers {
             workers: workers.max(1) as u64,

@@ -686,7 +686,7 @@ commands:
   load <file>                         restore database + payloads
   stat                                server statistics
   workers <n>                         shard waves across n worker threads
-                                      (default: hardware parallelism; 1 = sequential)
+                                      (default: 1 = sequential)
   retry <script|-> <n> <ms> <m> <ms>  tool retry policy: retries, base
                                       delay, backoff multiplier, timeout
                                       (`-` sets the default policy)

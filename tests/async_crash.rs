@@ -4,7 +4,10 @@
 //! server stack): kill the server anywhere between an `InvokeQueued`
 //! record and its terminal record, and recovery re-dispatches **exactly**
 //! the in-flight set — no invocation lost, none duplicated — then drains
-//! to the same final image the uninterrupted run produced.
+//! to the same final image the uninterrupted run produced. A clean
+//! journal is continued in place (nothing acked is rewritten, no work
+//! record is journaled twice); a torn one is folded into a checkpoint
+//! whose fresh journal carries the pending set exactly once.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -154,14 +157,68 @@ fn run_and_capture(
     (snapshot, states, final_image)
 }
 
+/// The continued-journal contract after recovering from `crashed`
+/// (a clean journal): recovery rewrote nothing that was acked (`crashed`
+/// is a byte prefix of the journal `after` recovery), appended no
+/// `invq`/`evq` for work the journal already held, and the journal's
+/// pending set is still exactly the in-flight invocations `want` plus
+/// the unprocessed events it held before.
+fn check_continued(
+    crashed: &[u8],
+    after: &[u8],
+    want: &BTreeSet<u64>,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        after.starts_with(crashed),
+        "recovery rewrote acked journal bytes"
+    );
+    let before = parse_journal(crashed).unwrap().ops;
+    let now = parse_journal(after).unwrap().ops;
+    let journaled_events: BTreeSet<u64> = before
+        .iter()
+        .filter_map(|op| match op {
+            JournalOp::EventQueued { seq, .. } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    let journaled_invocations: BTreeSet<u64> = queued_invocation_ids(&before).into_iter().collect();
+    for op in &now[before.len()..] {
+        match op {
+            JournalOp::EventQueued { seq, .. } => prop_assert!(
+                !journaled_events.contains(seq),
+                "event {} re-journaled by recovery",
+                seq
+            ),
+            JournalOp::InvokeQueued { id, .. } => prop_assert!(
+                !journaled_invocations.contains(id),
+                "invocation {} re-journaled by recovery",
+                id
+            ),
+            _ => {}
+        }
+    }
+    let pending = pending_work(&now);
+    let invocations: BTreeSet<u64> = queued_invocation_ids(&pending.invocations)
+        .into_iter()
+        .collect();
+    prop_assert_eq!(
+        &invocations,
+        want,
+        "journal pending set differs from the in-flight set"
+    );
+    prop_assert_eq!(pending.events, pending_work(&before).events);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Crash at any fsync boundary between dispatch and completion:
-    /// recovery re-journals exactly the pending work (accepted events
-    /// without `evdone`, invocations without a terminal record, under
-    /// their original ids, no duplicates) and the drained replica's image
-    /// equals the uninterrupted run's.
+    /// recovery continues the journal without rewriting or re-journaling
+    /// anything, the journal's pending work (accepted events without
+    /// `evdone`, invocations without a terminal record) is exactly the
+    /// in-flight set, and the drained replica's image equals the
+    /// uninterrupted run's.
     #[test]
     fn crash_between_dispatch_and_completion_redispatches_and_converges(
         seed in any::<u64>(),
@@ -188,15 +245,11 @@ proptest! {
             let mut r = detached_server(seed, rate);
             r.recover_journal(&dir, 1_000_000).unwrap();
 
-            // The re-seeded journal carries the pending set exactly once.
-            let reseeded = parse_journal(&std::fs::read(&jpath).unwrap()).unwrap();
-            let redispatched = queued_invocation_ids(&reseeded.ops);
-            let got: BTreeSet<u64> = redispatched.iter().copied().collect();
-            prop_assert_eq!(
-                redispatched.len(), got.len(),
-                "an invocation was re-dispatched twice"
-            );
-            prop_assert_eq!(&got, &want, "re-dispatch set differs from the in-flight set");
+            // An fsync boundary is a clean tail: recovery continues the
+            // journal instead of folding it.
+            let after = std::fs::read(&jpath).unwrap();
+            prop_assert_eq!(&std::fs::read(&spath).unwrap(), &snapshot, "recovery folded a clean journal");
+            check_continued(&state.bytes, &after, &want)?;
 
             // Re-run the lost window, then the rest of the scenario: the
             // recovered timeline converges to the uninterrupted image.
@@ -217,7 +270,9 @@ proptest! {
 
     /// Crash at ANY byte offset (torn tails included): recovery never
     /// panics, re-dispatches exactly what the surviving record prefix
-    /// says is pending, and drains back to quiescence.
+    /// says is pending — continuing a clean cut in place, folding a torn
+    /// one with the pending set re-journaled exactly once — and drains
+    /// back to quiescence.
     #[test]
     fn recovery_from_any_truncation_redispatches_exactly_the_pending_set(
         seed in any::<u64>(),
@@ -234,22 +289,40 @@ proptest! {
             let cut = full.len() * pct as usize / 100;
             let bytes = &full[..cut];
             // The oracle: what the journal layer itself says survives.
-            let want: BTreeSet<u64> = match journal::recover(&snapshot_str, bytes) {
-                Ok(rec) => queued_invocation_ids(&rec.pending.invocations)
-                    .into_iter()
-                    .collect(),
-                Err(_) => continue, // structured error is an accepted outcome
-            };
+            let (want, continued): (BTreeSet<u64>, bool) =
+                match journal::recover(&snapshot_str, bytes) {
+                    Ok(rec) => (
+                        queued_invocation_ids(&rec.pending.invocations)
+                            .into_iter()
+                            .collect(),
+                        rec.append_at.is_some(),
+                    ),
+                    Err(_) => continue, // structured error is an accepted outcome
+                };
 
             std::fs::write(&spath, &snapshot).unwrap();
             std::fs::write(&jpath, bytes).unwrap();
             let mut r = detached_server(seed, 0.5);
             r.recover_journal(&dir, 1_000_000).unwrap();
-            let reseeded = parse_journal(&std::fs::read(&jpath).unwrap()).unwrap();
-            let redispatched = queued_invocation_ids(&reseeded.ops);
-            let got: BTreeSet<u64> = redispatched.iter().copied().collect();
-            prop_assert_eq!(redispatched.len(), got.len());
-            prop_assert_eq!(&got, &want, "cut at byte {} of {}", cut, full.len());
+            let after = std::fs::read(&jpath).unwrap();
+            if continued {
+                prop_assert_eq!(&std::fs::read(&spath).unwrap(), &snapshot);
+                check_continued(bytes, &after, &want)?;
+            } else {
+                // The fold path (torn tail or header): a fresh checkpoint
+                // one epoch on, its journal re-seeded with the pending
+                // set exactly once.
+                let folded = String::from_utf8(std::fs::read(&spath).unwrap()).unwrap();
+                prop_assert_eq!(
+                    journal::snapshot_epoch(&folded),
+                    journal::snapshot_epoch(&snapshot_str) + 1
+                );
+                let reseeded = parse_journal(&after).unwrap();
+                let redispatched = queued_invocation_ids(&reseeded.ops);
+                let got: BTreeSet<u64> = redispatched.iter().copied().collect();
+                prop_assert_eq!(redispatched.len(), got.len());
+                prop_assert_eq!(&got, &want, "cut at byte {} of {}", cut, full.len());
+            }
 
             // At-least-once replay drains cleanly — every re-dispatched
             // invocation reaches a terminal record again.

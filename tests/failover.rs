@@ -13,12 +13,15 @@
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use damocles::core::engine::api::{ApiError, NodeRole, Request, Response};
 use damocles::core::engine::follower::{spawn_follower_loop, FollowerHandle, FollowerMsg};
 use damocles::core::engine::service::ProjectService;
 use damocles::core::engine::service::{serve_listener, serve_with, spawn_project_loop};
+use damocles::core::engine::tail::TailFrame;
 use damocles::prelude::*;
 use damocles::tools::remote::{LeaderClient, ReconnectPolicy, RemoteWrapper, TailHandshake};
 use damocles_meta::Oid;
@@ -475,7 +478,7 @@ fn replica_tree_fans_out_through_a_follower() {
                 let _ = serve_with(listener, || front.session(), Some(hub));
             });
         }
-        spawn_tree_pump(upstream, handle.clone(), tag);
+        let _resets = spawn_tree_pump(upstream, handle.clone(), tag);
         (handle, addr)
     };
     let (follower_a, addr_a) = spawn_tree_follower(leader_addr.clone(), "tree-a");
@@ -530,10 +533,13 @@ fn replica_tree_fans_out_through_a_follower() {
 }
 
 /// The reconnecting tail pump (the `--follow` wiring), reusable against
-/// any upstream front door — leader or fellow follower.
-fn spawn_tree_pump(upstream: String, handle: FollowerHandle, tag: &'static str) {
+/// any upstream front door — leader or fellow follower. Returns a count
+/// of the `tail-reset` frames it has forwarded.
+fn spawn_tree_pump(upstream: String, handle: FollowerHandle, tag: &'static str) -> Arc<AtomicU64> {
     let status = handle.status();
     let feed = handle.feed();
+    let resets = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&resets);
     std::thread::spawn(move || loop {
         if status.promoted() {
             return;
@@ -545,6 +551,9 @@ fn spawn_tree_pump(upstream: String, handle: FollowerHandle, tag: &'static str) 
             Ok(TailHandshake::Accepted { mut stream, .. }) => loop {
                 match stream.next_frame() {
                     Ok(frame) => {
+                        if matches!(frame, TailFrame::Reset { .. }) {
+                            counted.fetch_add(1, Ordering::Relaxed);
+                        }
                         if feed.send(FollowerMsg::Frame(frame)).is_err() {
                             return;
                         }
@@ -569,4 +578,163 @@ fn spawn_tree_pump(upstream: String, handle: FollowerHandle, tag: &'static str) 
         }
         std::thread::sleep(Duration::from_millis(100));
     });
+    resets
+}
+
+// ---------------------------------------------------------------------
+// Leader restart: a continued journal keeps the follower's cursor valid.
+// ---------------------------------------------------------------------
+
+/// The leader's committed stream position via its front door.
+fn journal_position(client: &mut RemoteWrapper) -> (u64, u64) {
+    match client.request(&Request::Stat).expect("stat") {
+        Response::Stat { stat } => (
+            stat.journal_epoch.expect("journaling on"),
+            stat.journal_records.expect("journaling on"),
+        ),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Check-ins on a few blocks, a drain, and a second version of one HDL
+/// model (its `move` link end follows it) — records that touch objects
+/// and links created before any restart.
+fn restart_workload(client: &mut RemoteWrapper, round: u8) {
+    for (block, view) in [
+        ("alu", "HDL_model"),
+        ("alu", "schematic"),
+        ("fpu", "HDL_model"),
+    ] {
+        let resp = client
+            .request(&Request::Checkin {
+                block: block.into(),
+                view: view.into(),
+                user: "yves".into(),
+                payload: vec![round],
+            })
+            .expect("checkin rpc");
+        assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
+    }
+    if round == 0 {
+        let resp = client
+            .request(&Request::Connect {
+                from: Oid::new("alu", "HDL_model", 1),
+                to: Oid::new("alu", "schematic", 1),
+            })
+            .expect("connect rpc");
+        assert_eq!(resp, Response::Ok);
+    }
+    assert!(matches!(
+        client.request(&Request::ProcessAll).expect("process rpc"),
+        Response::Processed { .. }
+    ));
+}
+
+/// A follower whose cursor sits inside the current epoch resumes after
+/// the leader is SIGKILLed and recovers: the restarted leader continues
+/// the same journal (same epoch, next sequence number), so the follower
+/// tails on from its cursor without a `tail-reset`, and its `dump` ends
+/// byte-identical to the leader's.
+#[test]
+fn follower_resumes_across_a_leader_restart_without_reset() {
+    let dir = fresh_dir("restart");
+    let bp = blueprint_file(&dir);
+    let journal = dir.join("journal");
+    // The restarted leader must come back on the address the follower
+    // reconnects to.
+    let port = TcpListener::bind("127.0.0.1:0")
+        .expect("probe a free port")
+        .local_addr()
+        .unwrap()
+        .port();
+    let listen = format!("127.0.0.1:{port}");
+    let mut leader = spawn_node(
+        &bp,
+        &[
+            "--listen".into(),
+            listen.clone(),
+            "--journal".into(),
+            journal.display().to_string(),
+            "--every".into(),
+            "1000000".into(),
+        ],
+        "restart-leader",
+    );
+
+    let service: ProjectService =
+        ProjectService::with_server(ProjectServer::from_source(BLUEPRINT).unwrap());
+    let (follower, _join) = spawn_follower_loop(service, listen.clone());
+    let resets = spawn_tree_pump(listen.clone(), follower.clone(), "restart-follower");
+
+    let mut client = RemoteWrapper::connect(&listen, "designer").expect("connect leader");
+    restart_workload(&mut client, 0);
+    let (epoch, seq) = journal_position(&mut client);
+    assert!(seq > 0, "the workload journaled records");
+    assert!(
+        follower
+            .status()
+            .wait_applied(epoch, seq, Duration::from_secs(10)),
+        "follower caught up before the crash; at {:?}",
+        follower.status().cursor()
+    );
+    assert_eq!(resets.load(Ordering::Relaxed), 1, "one bootstrap reset");
+    assert_eq!(follower.status().cursor(), (epoch, seq));
+
+    // CRASH, then a fresh process on the same address recovers the
+    // journal directory.
+    drop(client);
+    leader.kill();
+    let _restarted = spawn_node(
+        &bp,
+        &["--listen".into(), listen.clone()],
+        "restarted-leader",
+    );
+    let mut client = RemoteWrapper::connect(&listen, "designer").expect("connect restarted");
+    match client
+        .request(&Request::Recover {
+            dir: journal.display().to_string(),
+            every: 1_000_000,
+        })
+        .expect("recover rpc")
+    {
+        Response::Recovered {
+            epoch: recovered,
+            torn_tail: None,
+            stale_journal: false,
+            ..
+        } => assert_eq!(recovered, epoch),
+        other => panic!("recover answered {other:?}"),
+    }
+    assert_eq!(
+        journal_position(&mut client),
+        (epoch, seq),
+        "recovery continued the journal at the same cursor"
+    );
+
+    restart_workload(&mut client, 1);
+    let (epoch_after, seq_after) = journal_position(&mut client);
+    assert_eq!(epoch_after, epoch, "no checkpoint was due");
+    assert!(seq_after > seq);
+    assert!(
+        follower
+            .status()
+            .wait_applied(epoch_after, seq_after, Duration::from_secs(15)),
+        "follower resumed after the restart; at {:?}",
+        follower.status().cursor()
+    );
+    assert_eq!(
+        resets.load(Ordering::Relaxed),
+        1,
+        "the follower resumed from its cursor, without a tail-reset"
+    );
+    let leader_dump = match client.request(&Request::Dump).expect("leader dump") {
+        Response::Text { text } => text,
+        other => panic!("{other:?}"),
+    };
+    let follower_dump = match follower.session().call(Request::Dump) {
+        Response::Text { text } => text,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(follower_dump, leader_dump);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,9 @@
 //! Multi-project fleet end to end (ISSUE 8): a `ProjectRegistry` routes
 //! thousands of tenants over a bounded engine-worker pool, idle projects
-//! are LRU-evicted through the checkpoint path and lazily re-activated
-//! from their journals — and none of that machinery may leave a byte of
-//! difference against a dedicated single-project server replaying the
-//! same stream.
+//! are LRU-evicted by a journal flush and lazily re-activated by
+//! continuing their journals — and none of that machinery may leave a
+//! byte of difference against a dedicated single-project server
+//! replaying the same stream.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,6 +18,7 @@ use damocles::core::engine::server::{journal_dir_cursor, replay_dir};
 use damocles::core::engine::service::{serve_with, ProjectService};
 use damocles::prelude::*;
 use damocles::tools::remote::RemoteWrapper;
+use damocles_meta::journal;
 
 /// The tracked flow every tenant runs: check-ins propagate `outofdate`
 /// from HDL models into schematics, exactly the shape the single-node
@@ -105,7 +106,7 @@ fn attach(session: &FleetSession, project: &str, create: bool) -> Response {
 // ---------------------------------------------------------------------
 
 /// Six tenants round-robin over a two-slot fleet: every request lands on
-/// a cold project, so each one is evicted (checkpointed) and re-activated
+/// a cold project, so each one is evicted (flushed) and re-activated
 /// (recovered) many times over — and the final image of every tenant is
 /// byte-identical to a never-evicted dedicated server.
 #[test]
@@ -173,7 +174,7 @@ fn eviction_cycle_is_byte_identical_to_a_dedicated_server() {
         expected.push(dedicated);
     }
 
-    // Shut the fleet down (workers checkpoint their residents on the way
+    // Shut the fleet down (workers flush their residents on the way
     // out) and verify each tenant directory is a plain single-project
     // durability dir: `damocles_inspect`'s replay path reconstructs the
     // same image from nothing but the files.
@@ -186,6 +187,125 @@ fn eviction_cycle_is_byte_identical_to_a_dedicated_server() {
         let (_, image) = replay_dir(&dir, epoch, ops.len() as u64).unwrap();
         assert_eq!(&image, expected, "tenant{t} replayed image diverged");
     }
+}
+
+/// Two tenants alternate through ONE residency slot for more than
+/// `checkpoint_every` cycles, so every request evicts the other tenant
+/// and re-activates its own. Eviction only flushes and activation
+/// continues the journal: each tenant's journal stays below
+/// `checkpoint_every` records (in `stat` and on disk while cold), it
+/// keeps growing across evict/activate cycles, and the epoch advances
+/// only when the journal reaches the fold cadence.
+#[test]
+fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
+    let root = temp_dir("cadence");
+    const EVERY: u64 = 16;
+    const CYCLES: usize = 24;
+    let config = FleetConfig {
+        engine_workers: 1,
+        max_active: 1,
+        checkpoint_every: EVERY,
+        ..FleetConfig::default()
+    };
+    let registry = ProjectRegistry::open(&root, SIMPLE, config).unwrap();
+    let (fleet, join) = spawn_fleet::<NullExecutor>(registry);
+    let counters = fleet.counters();
+    let tenants = ["left", "right"];
+    let sessions: Vec<FleetSession> = tenants
+        .iter()
+        .map(|name| {
+            let session = fleet.session();
+            let resp = attach(&session, name, true);
+            assert!(matches!(resp, Response::Attached { .. }), "{resp:?}");
+            session
+        })
+        .collect();
+    let position = |session: &FleetSession| match session.call(Request::Stat) {
+        Response::Stat { stat } => (
+            stat.journal_epoch.expect("journaling on"),
+            stat.journal_records.expect("journaling on"),
+        ),
+        other => panic!("{other:?}"),
+    };
+
+    // Per tenant: the (epoch, records) cursor after each cycle.
+    let mut seen: Vec<Vec<(u64, u64)>> = vec![Vec::new(); tenants.len()];
+    for cycle in 0..CYCLES {
+        for (t, session) in sessions.iter().enumerate() {
+            let block = format!("B{t}");
+            for request in [checkin(&block, format!("v{cycle}")), Request::ProcessAll] {
+                let resp = session.call(request);
+                assert!(!resp.is_error(), "{} cycle {cycle}: {resp:?}", tenants[t]);
+            }
+            let (epoch, records) = position(session);
+            assert!(
+                records < EVERY,
+                "{} journal at {records} records",
+                tenants[t]
+            );
+            seen[t].push((epoch, records));
+
+            // The other tenant was just evicted: its cold form is its
+            // snapshot plus a clean tail below the cadence, at the
+            // snapshot's epoch.
+            let other = root.join(tenants[1 - t]);
+            if other.join("snapshot.ddb").exists() {
+                let snapshot = std::fs::read_to_string(other.join("snapshot.ddb")).unwrap();
+                let tail =
+                    journal::parse_journal(&std::fs::read(other.join("journal.djl")).unwrap())
+                        .unwrap();
+                assert!(tail.torn.is_none());
+                assert_eq!(tail.epoch, Some(journal::snapshot_epoch(&snapshot)));
+                assert!((tail.ops.len() as u64) < EVERY);
+            }
+        }
+    }
+    assert!(
+        counters.activations.load(Ordering::Relaxed) >= (2 * CYCLES) as u64,
+        "every cycle re-activated both tenants"
+    );
+
+    for (t, cursors) in seen.iter().enumerate() {
+        let name = tenants[t];
+        // The largest number of records one cycle appends.
+        let step = cursors
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1 - w[0].1)
+            .max()
+            .expect("some cycles stay within one epoch");
+        let mut folds = 0;
+        for w in cursors.windows(2) {
+            let ((e0, r0), (e1, r1)) = (w[0], w[1]);
+            if e1 == e0 {
+                assert!(
+                    r1 > r0,
+                    "{name}: journal shrank within epoch {e0} ({r0} -> {r1})"
+                );
+            } else {
+                assert_eq!(e1, e0 + 1, "{name}: epoch jumped {e0} -> {e1}");
+                assert!(
+                    r0 + step >= EVERY,
+                    "{name}: folded at {r0} records, short of the cadence {EVERY}"
+                );
+                folds += 1;
+            }
+        }
+        let first = cursors[0].0;
+        let last = cursors.last().unwrap().0;
+        assert_eq!(last - first, folds);
+        assert!(
+            folds > 0,
+            "{name}: {CYCLES} cycles never reached the cadence"
+        );
+        assert!(
+            folds < CYCLES as u64 / 2,
+            "{name}: {folds} folds in {CYCLES} cycles — the LRU cycle is folding"
+        );
+    }
+    drop(sessions);
+    drop(fleet);
+    join.join();
 }
 
 // ---------------------------------------------------------------------
