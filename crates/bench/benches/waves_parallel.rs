@@ -1,40 +1,23 @@
-//! Experiment WAVES-PARALLEL — sharded propagation waves across worker
-//! threads (ISSUE 5).
+//! Experiment WAVES — the wave drain under event storms.
 //!
 //! The design under measurement: `F` link-disjoint view families, each a
-//! `D`-stage derivation chain instantiated for `B` blocks. The compiler
-//! puts every family in its own shard component, so a batch of events
-//! that touches all families splits into `F` independent execution
-//! groups — the parallelism the worker pool exploits.
+//! `D`-stage derivation chain instantiated for `B` blocks. One measured
+//! iteration posts a `ckin` event at every chain's root OID (pure
+//! property waves: no objects or links are created, so the database is
+//! identical across iterations and series) and drains the queue with
+//! `process_all`, which delivers one event at a time. Three storms, one
+//! sequential series each:
 //!
-//! One measured iteration posts a `ckin` event at every family's root
-//! OIDs (pure property waves: no objects or links are created, so the
-//! database is identical across iterations and series) and drains the
-//! queue with `process_all`. Series differ only in
-//! `ProjectServer::set_wave_workers`:
+//! * `waves/parallel/sequential` — the write-heavy tracking storm: every
+//!   delivery's product is a property write;
+//! * `waves/exec_storm/sequential` — the same storm, with every stale
+//!   delivery also rendering a tool invocation;
+//! * `waves/instance_chains/sequential` — ONE view family, `CHAINS`
+//!   independent instance chains.
 //!
-//! * `waves/parallel/workers_1` — the sequential compiled path;
-//! * `waves/parallel/workers_{2,4,8}` — the sharded batch path.
-//!
-//! Interpretation: the sharded path is differentially proven
-//! byte-identical to sequential at any worker count (see
-//! `crates/core/tests/compiled_differential.rs`), so these series
-//! measure pure wall-clock. Two caveats the JSON spells out:
-//!
-//! * speedup requires hardware parallelism — on a single-core container
-//!   the sharded series instead price the overlay + epilogue overhead
-//!   (the JSON records the core count next to the numbers);
-//! * the write-heavy `waves/parallel` storm used to be the adverse case:
-//!   under PR 5 ~85% of its wall-clock was property-write application
-//!   replayed serially in the epilogue. PR 10's two-phase write pipeline
-//!   moves the arena writes and (hash-sharded) index maintenance into
-//!   the parallel phase, leaving only ordered journal-op replay + stats
-//!   serial — `bench_phase_split` reports the measured split. The
-//!   `waves/exec_storm` series adds per-delivery tool-invocation
-//!   rendering (no epilogue cost), the workload shape sharding helps
-//!   most; `waves/instance_chains` is the single-family storm that
-//!   per-view-component sharding could not parallelize at all and
-//!   per-OID instance sharding can.
+//! The storm names are historical: each storm once also ran at 2, 4 and 8
+//! wave workers on a sharded batch path, which measured 2–4× slower than
+//! this sequential drain on a 2-CPU host and was deleted (`DESIGN.md` §9).
 //!
 //! The `waves/exec_async` series (PR 6) swaps the rendering-only executor
 //! for a real tool boundary: the same `exec`-heavy storm runs once with
@@ -57,7 +40,7 @@
 //! Smoke mode for CI: set `BENCH_SMOKE=1` to shrink measurement windows;
 //! set `BENCH_JSON=<file>` to append results as JSON lines — that is how
 //! `BENCH_pr5.json`, `BENCH_pr6.json`, `BENCH_pr7.json` and
-//! `BENCH_pr10.json` are produced.
+//! `BENCH_pr10.json` were produced.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -84,11 +67,9 @@ const BLOCKS: usize = 16;
 const CHAINS: usize = 64;
 
 /// A blueprint of `families` disjoint derivation chains. Every stage
-/// carries a `let` so each delivery re-evaluates an expression — the
-/// compute the workers parallelize. With `exec_heavy`, every stale
-/// delivery also renders a tool invocation (the §3.3 automatic tool
-/// loop): pure worker-side compute with no epilogue write, the workload
-/// shape sharding helps most.
+/// carries a `let` so each delivery re-evaluates an expression. With
+/// `exec_heavy`, every stale delivery also renders a tool invocation (the
+/// §3.3 automatic tool loop).
 fn family_blueprint_n(families: usize, exec_heavy: bool) -> String {
     use std::fmt::Write as _;
     let outofdate_rule = if exec_heavy {
@@ -125,15 +106,9 @@ fn family_blueprint(exec_heavy: bool) -> String {
 
 /// Builds the populated server: `blocks` chains per family, each
 /// `STAGES` deep, and returns the root OID names events target.
-fn populated_n(
-    families: usize,
-    blocks: usize,
-    workers: usize,
-    exec_heavy: bool,
-) -> (ProjectServer, Vec<String>) {
+fn populated_n(families: usize, blocks: usize, exec_heavy: bool) -> (ProjectServer, Vec<String>) {
     let mut server = ProjectServer::from_source(&family_blueprint_n(families, exec_heavy))
         .expect("blueprint parses");
-    server.set_wave_workers(workers);
     let mut roots = Vec::new();
     for f in 0..families {
         for b in 0..blocks {
@@ -155,8 +130,8 @@ fn populated_n(
     (server, roots)
 }
 
-fn populated(workers: usize, exec_heavy: bool) -> (ProjectServer, Vec<String>) {
-    populated_n(FAMILIES, BLOCKS, workers, exec_heavy)
+fn populated(exec_heavy: bool) -> (ProjectServer, Vec<String>) {
+    populated_n(FAMILIES, BLOCKS, exec_heavy)
 }
 
 /// One measured iteration: a batch of root `ckin` events (one per chain,
@@ -170,111 +145,34 @@ fn storm<E: ScriptExecutor>(server: &mut ProjectServer<E>, roots: &[String]) -> 
     server.process_all().unwrap().deliveries
 }
 
-fn bench_series(c: &mut Criterion, name: &str, exec_heavy: bool) {
+/// One storm series: `chains` root ckins drained per iteration, each
+/// delivering at every one of its `STAGES`.
+fn bench_storm(c: &mut Criterion, name: &str, families: usize, blocks: usize, exec_heavy: bool) {
     let mut group = c.benchmark_group(name);
-    // Elements = wave deliveries per iteration: every chain delivers at
-    // each of its stages.
-    group.throughput(Throughput::Elements((FAMILIES * BLOCKS * STAGES) as u64));
-    for &workers in &[1usize, 2, 4, 8] {
-        let (mut server, roots) = populated(workers, exec_heavy);
-        // Sanity: per-OID sharding puts every instance chain — not just
-        // every view family — in its own group, and every chain link is
-        // one recorded union.
-        if workers > 1 {
-            let map = server.shard_map();
-            assert_eq!(map.group_count() as usize, FAMILIES * BLOCKS);
-            assert_eq!(map.merges() as usize, FAMILIES * BLOCKS * (STAGES - 1));
-        }
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(storm(&mut server, &roots)));
-        });
-    }
+    group.throughput(Throughput::Elements((families * blocks * STAGES) as u64));
+    let (mut server, roots) = populated_n(families, blocks, exec_heavy);
+    group.bench_function("sequential", |b| {
+        b.iter(|| black_box(storm(&mut server, &roots)));
+    });
     group.finish();
 }
 
 /// CI runs this bench once per PR summary file; `BENCH_FILTER` selects
 /// which target families run so each smoke file carries only its own
-/// series (`parallel_waves` for the sharding series, `exec_async` for
-/// the async-executor series). Unset = everything.
+/// series (`parallel_waves` for the three storms, `exec_async` for the
+/// async-executor series, `trace_overhead` for the tracing series).
+/// Unset = everything.
 fn target_enabled(name: &str) -> bool {
     std::env::var("BENCH_FILTER").map_or(true, |f| f.is_empty() || name.contains(&f))
 }
 
-fn bench_parallel_waves(c: &mut Criterion) {
+fn bench_storms(c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;
     }
-    // Write-heavy tracking storm: every delivery's product is a property
-    // write, so the deterministic epilogue (serial write replay) bounds
-    // the speedup — the adverse case for sharding.
-    bench_series(c, "waves/parallel", false);
-    // Tool-invocation storm: deliveries also render exec invocations —
-    // worker-side compute with no epilogue cost, the favourable case.
-    bench_series(c, "waves/exec_storm", true);
-}
-
-/// The instance-sharding storm (PR 10): ONE view family, `CHAINS`
-/// independent instance chains. Compile-time per-view-component sharding
-/// sees a single shard group here — the whole batch would run serial at
-/// any worker count. Per-OID union-find sharding gives one group per
-/// chain, so this series isolates exactly the parallelism instance-level
-/// sharding unlocked.
-fn bench_instance_chains(c: &mut Criterion) {
-    if !target_enabled("parallel_waves") {
-        return;
-    }
-    let mut group = c.benchmark_group("waves/instance_chains");
-    group.throughput(Throughput::Elements((CHAINS * STAGES) as u64));
-    for &workers in &[1usize, 2, 4, 8] {
-        let (mut server, roots) = populated_n(1, CHAINS, workers, false);
-        if workers > 1 {
-            let map = server.shard_map();
-            assert_eq!(map.group_count() as usize, CHAINS);
-            assert_eq!(map.merges() as usize, CHAINS * (STAGES - 1));
-        }
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(storm(&mut server, &roots)));
-        });
-    }
-    group.finish();
-}
-
-/// The Amdahl accounting behind PR 10 (not a criterion series): runs the
-/// write-heavy storm at several worker counts and reports how the drain's
-/// wall-clock splits between the worker phase (wave execution on the
-/// shard lanes) and the apply phase (write application + absorb),
-/// straight from [`ProjectServer::wave_phase_ns`]. Under PR 5 the apply
-/// phase was one serial `set_prop` replay — ~85% of this storm. The
-/// two-phase pipeline runs the arena writes and hash-sharded index
-/// maintenance inside the apply phase in parallel, leaving only ordered
-/// journal-op replay + stats serial, so the apply fraction (and with
-/// cores, its wall-clock) is the number this PR exists to shrink.
-fn bench_phase_split(_c: &mut Criterion) {
-    if !target_enabled("parallel_waves") {
-        return;
-    }
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let iters = if smoke { 3 } else { 20 };
-    for &workers in &[2usize, 4] {
-        let (mut server, roots) = populated(workers, false);
-        let (w0, a0) = server.wave_phase_ns();
-        for _ in 0..iters {
-            black_box(storm(&mut server, &roots));
-        }
-        let (w1, a1) = server.wave_phase_ns();
-        let (worker_ns, apply_ns) = (w1 - w0, a1 - a0);
-        let total = (worker_ns + apply_ns).max(1);
-        let apply_frac = apply_ns as f64 / total as f64;
-        println!(
-            "waves/phase_split/workers_{workers}: worker {worker_ns} ns, \
-             apply {apply_ns} ns ({:.1}% of drain) over {iters} storms",
-            apply_frac * 100.0
-        );
-        append_bench_json(&format!(
-            "{{\"id\":\"waves/phase_split/workers_{workers}\",\"worker_ns\":{worker_ns},\
-             \"apply_ns\":{apply_ns},\"apply_fraction\":{apply_frac:.4},\"storms\":{iters}}}"
-        ));
-    }
+    bench_storm(c, "waves/parallel", FAMILIES, BLOCKS, false);
+    bench_storm(c, "waves/exec_storm", FAMILIES, BLOCKS, true);
+    bench_storm(c, "waves/instance_chains", 1, CHAINS, false);
 }
 
 // ---------------------------------------------------------------------
@@ -406,38 +304,32 @@ fn bench_async_executor(c: &mut Criterion) {
 }
 
 /// Execution-trace overhead (PR 7): the write-heavy storm with tracing
-/// disabled vs. retaining, at 1 worker (sequential drain) and 4 workers
-/// (per-lane trace buffers + deterministic absorb). `trace_off` must sit
-/// within noise of `waves/parallel` at the same worker count — a
-/// disabled `TraceLog` is one branch per would-be record.
+/// disabled vs. retaining. `trace_off` must sit within noise of
+/// `waves/parallel` — a disabled `TraceLog` is one branch per would-be
+/// record.
 fn bench_trace_overhead(c: &mut Criterion) {
     if !target_enabled("trace_overhead") {
         return;
     }
     let mut group = c.benchmark_group("waves/trace_overhead");
     group.throughput(Throughput::Elements((FAMILIES * BLOCKS * STAGES) as u64));
-    for &workers in &[1usize, 4] {
-        for retaining in [false, true] {
-            let label = format!(
-                "{}_w{workers}",
-                if retaining { "trace_on" } else { "trace_off" }
-            );
-            let (mut server, roots) = populated(workers, false);
-            server.set_trace_retention(retaining);
-            group.bench_with_input(BenchmarkId::new("mode", &label), &label, |b, _| {
-                b.iter(|| {
-                    let deliveries = black_box(storm(&mut server, &roots));
-                    // Drain like `trace get` would; otherwise retained
-                    // records accumulate across iterations and the series
-                    // measures allocator growth, not tracing.
-                    let records = server.take_trace();
-                    if retaining {
-                        assert!(!records.is_empty());
-                    }
-                    black_box(records.len() as u64) + deliveries
-                });
+    for retaining in [false, true] {
+        let label = if retaining { "trace_on" } else { "trace_off" };
+        let (mut server, roots) = populated(false);
+        server.set_trace_retention(retaining);
+        group.bench_with_input(BenchmarkId::new("mode", label), &label, |b, _| {
+            b.iter(|| {
+                let deliveries = black_box(storm(&mut server, &roots));
+                // Drain like `trace get` would; otherwise retained
+                // records accumulate across iterations and the series
+                // measures allocator growth, not tracing.
+                let records = server.take_trace();
+                if retaining {
+                    assert!(!records.is_empty());
+                }
+                black_box(records.len() as u64) + deliveries
             });
-        }
+        });
     }
     group.finish();
 }
@@ -558,6 +450,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_parallel_waves, bench_instance_chains, bench_async_executor, bench_trace_overhead, bench_fault_latency, bench_phase_split
+    targets = bench_storms, bench_async_executor, bench_trace_overhead, bench_fault_latency
 }
 criterion_main!(benches);

@@ -218,13 +218,10 @@ pub enum Request {
     Audit,
     /// Server statistics (database size, queue depth, journal state).
     Stat,
-    /// Set the wave worker count: `ProcessAll` executes each drained
-    /// batch as link-connected shards across this many worker threads
-    /// (`1` = sequential). Results are identical at any count; the knob
-    /// trades threads for wall-clock. Survives `Init` server swaps, like
-    /// group-commit mode.
+    /// A no-op kept for wire compatibility: waves always drain one event
+    /// at a time, so the worker count is ignored and the reply is `ok`.
     SetWaveWorkers {
-        /// Worker threads (clamped to at least 1).
+        /// Ignored.
         workers: u64,
     },
     /// Set the retry policy for detached tool invocations: how many times
@@ -232,7 +229,7 @@ pub enum Request {
     /// attempts, and the per-attempt wall-clock budget. With `script:
     /// None` this sets the default policy; with `Some(name)` it overrides
     /// the policy for that script only. Survives `Init` server swaps,
-    /// like wave workers.
+    /// like group-commit mode.
     SetRetryPolicy {
         /// The script (tool) the policy applies to; `None` = the default
         /// policy for scripts without an override.
@@ -533,8 +530,8 @@ pub struct ServerStat {
     pub journal_epoch: Option<u64>,
     /// Ops appended since the last checkpoint, when journaling.
     pub journal_records: Option<u64>,
-    /// Wave worker threads `ProcessAll` shards batches across (1 =
-    /// sequential).
+    /// Always `1`: waves drain sequentially. Kept so the `stat` line
+    /// stays at its fixed width.
     pub wave_workers: u64,
     /// Detached invocations waiting for a worker.
     pub pending_invocations: u64,

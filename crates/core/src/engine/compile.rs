@@ -25,17 +25,7 @@
 //!   forward this event" for tooling and validation; the engine itself
 //!   keeps the exact per-link check, since links created through the raw
 //!   database API may forward events no template mentions;
-//! * continuous assignments are pre-merged per view in evaluation order;
-//! * the views are partitioned into **link-connected components**: two views
-//!   land in the same component exactly when a chain of `link_from` /
-//!   `use_link` templates connects them. Each component is a [`ShardId`]
-//!   stamped onto the view's [`DispatchTable`], so the parallel wave
-//!   scheduler resolves an OID's shard at dispatch-table-lookup cost — at
-//!   compile time, not per event. Links created outside the templates (raw
-//!   database links, adopted images) can bridge compile-time components;
-//!   the [`ShardMap`] overlays those runtime merges on the compiled
-//!   partition and is invalidated by the database's
-//!   [`topology stamp`](damocles_meta::MetaDb::topology_stamp).
+//! * continuous assignments are pre-merged per view in evaluation order.
 //!
 //! The compiled form owns its data (templates and expressions are cloned out
 //! of the AST), so the engine can hold it alongside the blueprint without
@@ -44,9 +34,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use damocles_meta::{Direction, MetaDb, OidId, Sym, SymSet, SymbolTable, TopoDelta};
+use damocles_meta::{Direction, Sym, SymSet, SymbolTable};
 
-use crate::lang::ast::{Action, Blueprint, Expr, LinkSource, Template};
+use crate::lang::ast::{Action, Blueprint, Expr, Template};
 
 /// A per-event action list inlining up to four entries.
 ///
@@ -214,15 +204,6 @@ impl Dispatch {
     }
 }
 
-/// A link-connected component of the compiled blueprint's view graph — the
-/// compile-time unit of wave parallelism. Two OIDs whose views carry
-/// different (and runtime-unmerged, see [`ShardMap`]) shard ids can never
-/// reach each other inside one propagation wave through
-/// template-instantiated links, so their waves may execute on different
-/// worker threads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ShardId(pub u32);
-
 /// One view's compiled run-time information.
 #[derive(Debug, Clone, Default)]
 pub struct DispatchTable {
@@ -232,17 +213,9 @@ pub struct DispatchTable {
     /// Continuous assignments in evaluation order (`default`'s, then the
     /// view's own).
     lets: Vec<CompiledLet>,
-    /// The link-connected component this view belongs to (see
-    /// [`CompiledBlueprint::shard_of_table`]).
-    shard: ShardId,
 }
 
 impl DispatchTable {
-    /// The link-connected component this view's OIDs dispatch in.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
     /// The actions for an event, if any rule anywhere matches it.
     pub fn dispatch(&self, event: Sym) -> Option<&Dispatch> {
         self.dispatch.get(&event)
@@ -291,14 +264,6 @@ pub struct CompiledBlueprint {
     /// Union of every link template's PROPAGATE set: an event outside this
     /// set can never cross a template-instantiated link.
     propagate_union: SymSet,
-    /// The shard of OIDs whose view the blueprint does not declare. All
-    /// undeclared views share one component: the compiler cannot bound
-    /// which links their OIDs acquire, so they must not be split.
-    fallback_shard: ShardId,
-    /// Size of the shard id space (`views + 1`, the `+1` being the
-    /// undeclared-view component). Shard ids are union-find roots inside
-    /// this space, so they are stable but not dense.
-    shard_space: u32,
     /// Process-unique id of this compilation, used by the engine's per-view
     /// dispatch cache to detect blueprint swaps (`reinit`) without holding a
     /// reference.
@@ -407,31 +372,6 @@ impl CompiledBlueprint {
             tables.push(table);
         }
 
-        // Link-connected components over the view graph: every `link_from`
-        // template is an edge between the declaring view and its source
-        // view (`use_link` relates a view to itself — no edge). A source
-        // view the blueprint does not declare joins the undeclared-view
-        // component, since its OIDs are indistinguishable from any other
-        // undeclared view's. This runs after the table pass so forward
-        // references (`link_from` naming a later view) resolve.
-        let fallback_slot = tables.len() as u32;
-        let mut parent: Vec<u32> = (0..=fallback_slot).collect();
-        for (index, view) in bp.views.iter().enumerate() {
-            for link in &view.links {
-                if let LinkSource::View(source) = &link.source {
-                    let source_slot = view_index
-                        .get(source.as_str())
-                        .map_or(fallback_slot, |&i| i as u32);
-                    uf_union(&mut parent, index as u32, source_slot);
-                }
-            }
-        }
-        for (index, table) in tables.iter_mut().enumerate() {
-            table.shard = ShardId(uf_find(&mut parent, index as u32));
-        }
-        let fallback_shard = ShardId(uf_find(&mut parent, fallback_slot));
-        fallback.shard = fallback_shard;
-
         let arc_names = symbols.iter().map(|(_, name)| Arc::from(name)).collect();
         static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         CompiledBlueprint {
@@ -443,8 +383,6 @@ impl CompiledBlueprint {
             default_index,
             link_templates,
             propagate_union,
-            fallback_shard,
-            shard_space: fallback_slot + 1,
             generation: GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -507,7 +445,7 @@ impl CompiledBlueprint {
     /// Whether any link template's PROPAGATE set forwards `event` — the
     /// cheap pre-check before walking a node's links. Events outside the
     /// union can still cross links added through the raw
-    /// [`MetaDb`] API, so this is advisory for
+    /// [`MetaDb`](damocles_meta::MetaDb) API, so this is advisory for
     /// template-instantiated graphs; the engine keeps the exact per-link
     /// check.
     pub fn may_propagate(&self, event: Sym) -> bool {
@@ -517,231 +455,6 @@ impl CompiledBlueprint {
     /// Compiled link templates, in declaration order.
     pub fn link_templates(&self) -> &[CompiledLinkTemplate] {
         &self.link_templates
-    }
-
-    /// The link-connected component of the table at a
-    /// [`CompiledBlueprint::table_index_for_view`] index; `None` selects
-    /// the undeclared-view component.
-    pub fn shard_of_table(&self, index: Option<usize>) -> ShardId {
-        match index {
-            Some(i) => self.tables[i].shard,
-            None => self.fallback_shard,
-        }
-    }
-
-    /// The link-connected component of `view`'s OIDs.
-    pub fn shard_of_view(&self, view: &str) -> ShardId {
-        self.shard_of_table(self.table_index_for_view(view))
-    }
-
-    /// The shard of OIDs whose view the blueprint does not declare.
-    pub fn fallback_shard(&self) -> ShardId {
-        self.fallback_shard
-    }
-
-    /// Size of the shard id space (every [`ShardId`] is `< shard_space`).
-    pub fn shard_space(&self) -> u32 {
-        self.shard_space
-    }
-}
-
-/// Union-find `find` with path compression over a flat parent vector.
-fn uf_find(parent: &mut [u32], mut a: u32) -> u32 {
-    while parent[a as usize] != a {
-        let grand = parent[parent[a as usize] as usize];
-        parent[a as usize] = grand;
-        a = grand;
-    }
-    a
-}
-
-/// Union-find `union`; returns whether two distinct roots were merged.
-fn uf_union(parent: &mut [u32], a: u32, b: u32) -> bool {
-    let (ra, rb) = (uf_find(parent, a), uf_find(parent, b));
-    if ra == rb {
-        return false;
-    }
-    // Lower root wins so ids stay stable under re-runs.
-    let (keep, fold) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    parent[fold as usize] = keep;
-    true
-}
-
-// ---------------------------------------------------------------------
-// The runtime shard map
-// ---------------------------------------------------------------------
-
-/// The runtime **instance-level** shard partition.
-///
-/// The compiler proves that template-instantiated links never cross
-/// [`ShardId`] boundaries, but that partition is per *view component*: two
-/// disjoint instance chains of the same views land in one compile-time
-/// shard and serialize behind each other. A `ShardMap` instead runs a
-/// union-find over the **live OIDs themselves**, keyed by arena slot,
-/// folding in every live link that can carry at least one event (an empty
-/// PROPAGATE set carries nothing). The result is the finest partition with
-/// the invariant the parallel wave scheduler needs:
-///
-/// > a propagation wave anchored at an OID of group *g* can only ever
-/// > read or write OIDs of group *g*,
-///
-/// because every wave read and write reaches its OIDs by walking
-/// propagating links out from the anchor.
-///
-/// Any link-topology change bumps the database's
-/// [`topology stamp`](MetaDb::topology_stamp), which makes the map
-/// [stale](ShardMap::is_current). The owner first tries
-/// [`ShardMap::try_update`], which replays the database's bounded
-/// [topology delta log](MetaDb::topology_deltas_since) — new bridges are
-/// pure union-find merges, so mid-session `Connect`/`PROPAGATE` growth
-/// costs O(deltas), not a rescan of every link. Only severing changes
-/// (link removal or repointing away) force a full rebuild, because a
-/// union-find cannot un-merge.
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    /// Union-find parents over OID arena slots, seeded identity and
-    /// folded by propagating links. Slots at or beyond the vector's end
-    /// are implicit singletons (OIDs created after the map was built).
-    parent: Vec<u32>,
-    /// The [`MetaDb::topology_stamp`] this map describes.
-    topo_stamp: u64,
-    /// The [`CompiledBlueprint::generation`] this map was built against.
-    compiled_generation: u64,
-    /// Distinct components merged by propagating links (build + updates).
-    merges: u64,
-    /// Incremental delta-log updates absorbed since the last full build.
-    incremental_updates: u64,
-    /// Distinct groups among live OIDs at build time, maintained
-    /// approximately across incremental updates (exact again on rebuild).
-    groups: u32,
-}
-
-impl ShardMap {
-    /// Builds the map for the current database topology: seeds every live
-    /// OID as its own group, then folds in every live link whose
-    /// PROPAGATE set is non-empty.
-    pub fn build(compiled: &CompiledBlueprint, db: &MetaDb) -> ShardMap {
-        let slots = db
-            .iter_oids()
-            .map(|(id, _)| id.slot() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut parent: Vec<u32> = (0..slots).collect();
-        let mut merges = 0u64;
-        for (_, link) in db.iter_links() {
-            if link.propagates().is_empty() {
-                continue;
-            }
-            if uf_union(&mut parent, link.from.slot(), link.to.slot()) {
-                merges += 1;
-            }
-        }
-        let mut roots: Vec<u32> = db
-            .iter_oids()
-            .map(|(id, _)| uf_find(&mut parent, id.slot()))
-            .collect();
-        roots.sort_unstable();
-        roots.dedup();
-        ShardMap {
-            parent,
-            topo_stamp: db.topology_stamp(),
-            compiled_generation: compiled.generation(),
-            merges,
-            incremental_updates: 0,
-            groups: roots.len() as u32,
-        }
-    }
-
-    /// Whether the map still describes `(compiled, db)` — `false` after a
-    /// blueprint swap or any link-topology change (including a `Connect`
-    /// that bridges two previously-disjoint components).
-    pub fn is_current(&self, compiled: &CompiledBlueprint, db: &MetaDb) -> bool {
-        self.compiled_generation == compiled.generation() && self.topo_stamp == db.topology_stamp()
-    }
-
-    /// Brings a stale map up to date by replaying the database's bounded
-    /// topology delta log, without rescanning any link. Returns `true` on
-    /// success (the map is then [current](ShardMap::is_current)) and
-    /// `false` when only a full [`ShardMap::build`] can help: the
-    /// blueprint generation moved, the log has been truncated past this
-    /// map's stamp, or a delta severed topology (union-find cannot
-    /// un-merge).
-    pub fn try_update(&mut self, compiled: &CompiledBlueprint, db: &MetaDb) -> bool {
-        if self.compiled_generation != compiled.generation() {
-            return false;
-        }
-        if self.topo_stamp == db.topology_stamp() {
-            return true;
-        }
-        let Some(deltas) = db.topology_deltas_since(self.topo_stamp) else {
-            return false;
-        };
-        let deltas: Vec<TopoDelta> = deltas.copied().collect();
-        if deltas.iter().any(|d| matches!(d, TopoDelta::Sever)) {
-            return false;
-        }
-        for delta in deltas {
-            let TopoDelta::Bridge { a, b } = delta else {
-                continue; // Quiet: a link that still carries nothing
-            };
-            let grow = a.slot().max(b.slot()) + 1;
-            if grow as usize > self.parent.len() {
-                // OIDs created since the build: late singletons.
-                self.groups += grow - self.parent.len() as u32;
-                self.parent.extend(self.parent.len() as u32..grow);
-            }
-            if uf_union(&mut self.parent, a.slot(), b.slot()) {
-                self.merges += 1;
-                self.groups = self.groups.saturating_sub(1);
-            }
-        }
-        self.topo_stamp = db.topology_stamp();
-        self.incremental_updates += 1;
-        true
-    }
-
-    /// The shard-map generation: the `(blueprint generation, topology
-    /// stamp)` pair the partition describes. Any bridge-creating
-    /// `Connect` moves it.
-    pub fn generation(&self) -> (u64, u64) {
-        (self.compiled_generation, self.topo_stamp)
-    }
-
-    /// The execution group of an OID: the union-find root of its arena
-    /// slot. OIDs created after the map was built are singleton groups
-    /// (correct: had they gained a propagating link, the map would be
-    /// stale). A stale handle lands in group 0 — the wave executing there
-    /// reports the same stale-OID error the sequential path would.
-    pub fn group_of(&self, _compiled: &CompiledBlueprint, db: &MetaDb, id: OidId) -> ShardId {
-        if !db.is_live(id) {
-            return ShardId(0);
-        }
-        let mut a = id.slot();
-        while (a as usize) < self.parent.len() && self.parent[a as usize] != a {
-            a = self.parent[a as usize];
-        }
-        ShardId(a)
-    }
-
-    /// Distinct components merged by propagating links (at build time plus
-    /// across incremental updates).
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Incremental delta-log updates absorbed since the last full build —
-    /// `0` on a freshly built map, so a nonzero value proves mid-session
-    /// topology growth was patched in rather than rebuilt over.
-    pub fn incremental_updates(&self) -> u64 {
-        self.incremental_updates
-    }
-
-    /// Distinct execution groups among live OIDs at build time — the
-    /// parallelism ceiling of one batch. Maintained approximately across
-    /// incremental updates (merges decrement it, late OIDs join as
-    /// singletons); a rebuild makes it exact again.
-    pub fn group_count(&self) -> u32 {
-        self.groups
     }
 }
 
@@ -852,166 +565,6 @@ mod tests {
         assert_eq!(collected, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(v[4], 4);
         assert_eq!(v.get(6), None);
-    }
-
-    #[test]
-    fn link_templates_define_shard_components() {
-        // a <- b (template edge), c alone, plus an undeclared source.
-        let bp = parse(
-            r#"blueprint shards
-            view a endview
-            view b
-                link_from a propagates ev type derived
-            endview
-            view c endview
-            view d
-                link_from mystery propagates ev type derived
-            endview
-            endblueprint"#,
-        )
-        .unwrap();
-        let compiled = CompiledBlueprint::compile(&bp);
-        assert_eq!(compiled.shard_of_view("a"), compiled.shard_of_view("b"));
-        assert_ne!(compiled.shard_of_view("a"), compiled.shard_of_view("c"));
-        // `link_from mystery` joins d with the undeclared-view component,
-        // and unknown views resolve to that same component.
-        assert_eq!(compiled.shard_of_view("d"), compiled.fallback_shard());
-        assert_eq!(compiled.shard_of_view("ghost"), compiled.fallback_shard());
-        assert_eq!(compiled.shard_space(), 5);
-        // The tables carry their shard.
-        assert_eq!(
-            compiled.table_for_view("b").shard(),
-            compiled.shard_of_view("a")
-        );
-    }
-
-    #[test]
-    fn shard_map_merges_on_raw_bridge_links_only() {
-        use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid};
-        let bp = parse(
-            r#"blueprint shards
-            view a endview
-            view b endview
-            endblueprint"#,
-        )
-        .unwrap();
-        let compiled = CompiledBlueprint::compile(&bp);
-        let mut db = MetaDb::new();
-        let a = db.create_oid(Oid::new("x", "a", 1)).unwrap();
-        let b = db.create_oid(Oid::new("x", "b", 1)).unwrap();
-
-        // A link with an EMPTY PROPAGATE set carries nothing: no merge.
-        let bare = db
-            .add_link(a, b, LinkClass::Derive, LinkKind::DeriveFrom)
-            .unwrap();
-        let map = ShardMap::build(&compiled, &db);
-        assert_eq!(map.merges(), 0);
-        assert_ne!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, b)
-        );
-        assert_eq!(map.group_count(), 2);
-        assert!(map.is_current(&compiled, &db));
-
-        // Growing its PROPAGATE set moves the topology stamp (the map
-        // goes stale) and the rebuilt map merges the two components.
-        db.allow_event(bare, "zap").unwrap();
-        assert!(!map.is_current(&compiled, &db));
-        let merged = ShardMap::build(&compiled, &db);
-        assert_ne!(merged.generation(), map.generation());
-        assert_eq!(merged.merges(), 1);
-        assert_eq!(
-            merged.group_of(&compiled, &db, a),
-            merged.group_of(&compiled, &db, b)
-        );
-        assert_eq!(merged.group_count(), 1);
-    }
-
-    #[test]
-    fn shard_map_absorbs_bridges_incrementally_and_rebuilds_on_sever() {
-        use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid};
-        let bp = parse(
-            r#"blueprint shards
-            view a endview
-            view b endview
-            endblueprint"#,
-        )
-        .unwrap();
-        let compiled = CompiledBlueprint::compile(&bp);
-        let mut db = MetaDb::new();
-        let a = db.create_oid(Oid::new("x", "a", 1)).unwrap();
-        let b = db.create_oid(Oid::new("x", "b", 1)).unwrap();
-        let mut map = ShardMap::build(&compiled, &db);
-        assert_eq!(map.incremental_updates(), 0);
-        assert!(map.try_update(&compiled, &db), "current map: no-op update");
-        assert_eq!(map.incremental_updates(), 0, "no-op absorbs nothing");
-
-        // A late OID plus a bridge to it: both patched in from the delta
-        // log, no rebuild.
-        let c = db.create_oid(Oid::new("x", "b", 2)).unwrap();
-        let bridge = db
-            .add_link_with(a, c, LinkClass::Derive, LinkKind::DeriveFrom, ["zap"])
-            .unwrap();
-        assert!(!map.is_current(&compiled, &db));
-        assert!(map.try_update(&compiled, &db));
-        assert!(map.is_current(&compiled, &db));
-        assert_eq!(map.incremental_updates(), 1);
-        assert_eq!(map.merges(), 1);
-        assert_eq!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, c)
-        );
-        assert_ne!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, b)
-        );
-        assert_eq!(map.group_count(), 2, "{{a,c}} and {{b}}");
-
-        // Severing topology cannot be patched into a union-find.
-        db.remove_link(bridge).unwrap();
-        assert!(!map.try_update(&compiled, &db));
-        let rebuilt = ShardMap::build(&compiled, &db);
-        assert_eq!(rebuilt.incremental_updates(), 0);
-        assert_ne!(
-            rebuilt.group_of(&compiled, &db, a),
-            rebuilt.group_of(&compiled, &db, c)
-        );
-        assert_eq!(rebuilt.group_count(), 3);
-    }
-
-    #[test]
-    fn shard_map_separates_disjoint_chains_of_one_view_family() {
-        use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid};
-        let bp = parse(
-            r#"blueprint shards
-            view a endview
-            view b endview
-            endblueprint"#,
-        )
-        .unwrap();
-        let compiled = CompiledBlueprint::compile(&bp);
-        let mut db = MetaDb::new();
-        // Two instance chains over the SAME views: compile-time sharding
-        // would serialize them; instance-level sharding must not.
-        let a1 = db.create_oid(Oid::new("x", "a", 1)).unwrap();
-        let b1 = db.create_oid(Oid::new("x", "b", 1)).unwrap();
-        let a2 = db.create_oid(Oid::new("y", "a", 1)).unwrap();
-        let b2 = db.create_oid(Oid::new("y", "b", 1)).unwrap();
-        db.add_link_with(a1, b1, LinkClass::Derive, LinkKind::DeriveFrom, ["ev"])
-            .unwrap();
-        db.add_link_with(a2, b2, LinkClass::Derive, LinkKind::DeriveFrom, ["ev"])
-            .unwrap();
-        let map = ShardMap::build(&compiled, &db);
-        assert_eq!(
-            map.group_of(&compiled, &db, a1),
-            map.group_of(&compiled, &db, b1)
-        );
-        assert_ne!(
-            map.group_of(&compiled, &db, a1),
-            map.group_of(&compiled, &db, a2),
-            "disjoint chains of one view family get their own groups"
-        );
-        assert_eq!(map.group_count(), 2);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! jobs. Tool runs overlap freely across worker threads, but their result
 //! messages re-enter the event queue exactly as if each tool had run
 //! synchronously at its dispatch point — so the final image is independent
-//! of scheduling and fault timing. This closes the PR 5 caveat where
-//! sharded drains dispatched invocations post-batch: dispatch order is now
-//! the *only* order the engine ever observes.
+//! of scheduling and fault timing: dispatch order is the *only* order the
+//! engine ever observes.
 //!
 //! # Lifecycle
 //!

@@ -21,15 +21,13 @@
 //! `(OID, event)` pair so cyclic link graphs terminate; the paper is silent
 //! on cycles, so this is a documented deviation (see DESIGN.md §7).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use damocles_meta::{
-    Direction, LaneWrites, MetaDb, MetaError, Oid, OidId, PropWrite, PropertyMap, Sym, Value,
-};
+use damocles_meta::{Direction, MetaDb, OidId, Sym};
 
 use crate::engine::audit::{AuditKind, AuditLog, AuditRecord};
-use crate::engine::compile::{CompiledBlueprint, ShardId, ShardMap};
+use crate::engine::compile::CompiledBlueprint;
 use crate::engine::error::EngineError;
 use crate::engine::eval::EvalCtx;
 use crate::engine::event::{Delivery, QueuedEvent};
@@ -125,19 +123,6 @@ pub struct RuntimeEngine {
     pub policy: Policy,
     clock: u64,
     scratch: WaveScratch,
-    /// Per-worker scratches for the sharded batch path
-    /// ([`RuntimeEngine::process_batch_sharded`]): each worker thread owns
-    /// one for the batch, keeping the allocation-free steady state per
-    /// worker. Grown lazily to the requested worker count and reused
-    /// across batches.
-    worker_scratches: Vec<WaveScratch>,
-    /// Cumulative nanoseconds sharded batches spent in the parallel wave
-    /// phase (worker execution) — the phase-split observability half of
-    /// [`RuntimeEngine::batch_phase_ns`].
-    batch_worker_ns: u64,
-    /// Cumulative nanoseconds sharded batches spent in write application
-    /// (the epilogue: sharded storage/index writes + serial delta replay).
-    batch_apply_ns: u64,
 }
 
 impl Default for RuntimeEngine {
@@ -194,213 +179,6 @@ struct CompiledWaveItem {
     depth: u32,
 }
 
-// ---------------------------------------------------------------------
-// Wave stores: the database surface one propagation wave runs against
-// ---------------------------------------------------------------------
-
-/// The exact database surface the compiled wave loop needs, factored out
-/// so one generic loop serves both execution modes:
-///
-/// * [`DirectStore`] — `&mut MetaDb`; writes land (and journal)
-///   immediately. The sequential path.
-/// * [`OverlayStore`] — `&MetaDb` plus a private copy-on-write property
-///   overlay and an ordered write log. Worker threads of a sharded batch
-///   run on this: the shared database is only ever read, each worker's
-///   writes are visible to its own later reads (waves read what they just
-///   assigned), and the logs replay through the real database in the
-///   deterministic post-wave epilogue — so journal ops, indices and
-///   counters are byte-identical to sequential execution.
-///
-/// Only property writes mutate the database inside a wave (links and OIDs
-/// change between waves), which is what makes the overlay complete.
-trait WaveStore {
-    /// Errors if the handle is stale (the liveness probe at delivery).
-    fn probe(&self, id: OidId) -> Result<(), MetaError>;
-    /// The OID triplet behind a handle.
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError>;
-    /// The database-interned view symbol of an OID.
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError>;
-    /// The property view of an OID: the base map plus an optional sparse
-    /// write overlay that shadows it (see [`EvalCtx::overlay`]). The
-    /// direct path has no overlay; the worker path returns its private
-    /// written-props map so no base map is ever cloned.
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError>;
-    /// Writes a property, returning the previous value — overlay-aware.
-    fn set_prop(&mut self, id: OidId, name: &str, value: Value)
-        -> Result<Option<Value>, MetaError>;
-    /// [`WaveStore::set_prop`] for callers that discard the previous
-    /// value (the counters-only audit path) — lets the overlay skip the
-    /// base-map lookup that exists only to report `old`.
-    fn set_prop_quiet(&mut self, id: OidId, name: &str, value: Value) -> Result<(), MetaError> {
-        self.set_prop(id, name, value).map(|_| ())
-    }
-    /// Appends the OIDs reachable from `id` over allowing links.
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError>;
-}
-
-/// The sequential store: writes go straight to the database.
-struct DirectStore<'a> {
-    db: &'a mut MetaDb,
-}
-
-impl WaveStore for DirectStore<'_> {
-    fn probe(&self, id: OidId) -> Result<(), MetaError> {
-        self.db.entry(id).map(|_| ())
-    }
-
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError> {
-        self.db.oid(id)
-    }
-
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError> {
-        Ok(self.db.entry(id)?.view_sym())
-    }
-
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError> {
-        Ok((&self.db.entry(id)?.props, None))
-    }
-
-    fn set_prop(
-        &mut self,
-        id: OidId,
-        name: &str,
-        value: Value,
-    ) -> Result<Option<Value>, MetaError> {
-        self.db.set_prop(id, name, value)
-    }
-
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError> {
-        self.db.neighbors_into(id, dir, event, out)
-    }
-}
-
-/// A minimal multiply-xor hasher for the overlay's `OidId` keys: arena
-/// indices are small and already well-distributed, so SipHash's collision
-/// resistance buys nothing on this internal, attacker-free map — but its
-/// cost lands on every property read of every worker wave.
-#[derive(Debug, Default)]
-struct OidHasher(u64);
-
-impl std::hash::Hasher for OidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type OidMap<V> = HashMap<OidId, V, std::hash::BuildHasherDefault<OidHasher>>;
-
-/// The per-worker store of a sharded batch: shared read-only database,
-/// copy-on-write property overlay, ordered write log.
-struct OverlayStore<'a> {
-    db: &'a MetaDb,
-    /// Sparse per-OID overlays holding only the props this worker has
-    /// written (never a clone of the base map). Lives for the worker's
-    /// whole batch lane so later events see earlier events' writes
-    /// (events of one link-connected component are ordered on one lane).
-    dirty: OidMap<PropertyMap>,
-    /// Writes of the event currently executing, in wave order. Drained
-    /// per event into its [`EventRun`] and applied through
-    /// [`MetaDb::apply_prop_writes_sharded`] in the epilogue.
-    writes: Vec<PropWrite>,
-}
-
-impl WaveStore for OverlayStore<'_> {
-    fn probe(&self, id: OidId) -> Result<(), MetaError> {
-        self.db.entry(id).map(|_| ())
-    }
-
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError> {
-        self.db.oid(id)
-    }
-
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError> {
-        Ok(self.db.entry(id)?.view_sym())
-    }
-
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError> {
-        Ok((&self.db.entry(id)?.props, self.dirty.get(&id)))
-    }
-
-    fn set_prop(
-        &mut self,
-        id: OidId,
-        name: &str,
-        value: Value,
-    ) -> Result<Option<Value>, MetaError> {
-        // The previous value the direct path would have reported: this
-        // worker's last write if any, else the base map's.
-        let base_old = match self.dirty.get(&id) {
-            Some(overlay) if overlay.get(name).is_some() => None,
-            _ => self.db.entry(id)?.props.get(name).cloned(),
-        };
-        let overlay = self.dirty.entry(id).or_default();
-        let old = overlay.set(name, value.clone()).or(base_old);
-        self.writes.push(PropWrite {
-            id,
-            prop: name.to_string(),
-            value,
-        });
-        Ok(old)
-    }
-
-    fn set_prop_quiet(&mut self, id: OidId, name: &str, value: Value) -> Result<(), MetaError> {
-        // Liveness check only on the first write to this OID; `old` is
-        // not needed, so neither is the base map.
-        if !self.dirty.contains_key(&id) {
-            self.db.entry(id)?;
-        }
-        self.dirty.entry(id).or_default().set(name, value.clone());
-        self.writes.push(PropWrite {
-            id,
-            prop: name.to_string(),
-            value,
-        });
-        Ok(())
-    }
-
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError> {
-        self.db.neighbors_into(id, dir, event, out)
-    }
-}
-
 impl RuntimeEngine {
     /// Creates an engine with the given policy.
     pub fn new(policy: Policy) -> Self {
@@ -408,9 +186,6 @@ impl RuntimeEngine {
             policy,
             clock: 0,
             scratch: WaveScratch::default(),
-            worker_scratches: Vec::new(),
-            batch_worker_ns: 0,
-            batch_apply_ns: 0,
         }
     }
 
@@ -418,15 +193,6 @@ impl RuntimeEngine {
     /// to rules as `$date`.
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Cumulative `(worker_ns, apply_ns)` phase split of every sharded
-    /// batch this engine has run: time in the parallel wave phase vs time
-    /// in write application. `apply / (worker + apply)` is the serial-ish
-    /// fraction Amdahl charges the batch path — the number the phase-split
-    /// bench reporter tracks across PRs.
-    pub fn batch_phase_ns(&self) -> (u64, u64) {
-        (self.batch_worker_ns, self.batch_apply_ns)
     }
 
     /// Drops the cached per-view dispatch resolutions. Must be called when
@@ -440,10 +206,6 @@ impl RuntimeEngine {
         // Generations start at 1, so 0 forces a refill on the next wave.
         self.scratch.view_cache.clear();
         self.scratch.view_cache_gen = 0;
-        for scratch in &mut self.worker_scratches {
-            scratch.view_cache.clear();
-            scratch.view_cache_gen = 0;
-        }
     }
 
     /// Processes one design event to completion (the full propagation wave).
@@ -602,7 +364,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -637,7 +398,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -659,7 +419,6 @@ impl RuntimeEngine {
             let entry = db.entry(id)?;
             let ctx = EvalCtx {
                 props: &entry.props,
-                overlay: None,
                 oid: &oid,
                 event: &item.event,
                 args: &item.args,
@@ -697,7 +456,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -844,17 +602,14 @@ impl RuntimeEngine {
                     target: target.clone(),
                     user: ev.user.clone(),
                     clock,
-                    lane: None,
-                    shard: None,
                 });
             }
         }
         Self::seed_wave(compiled, &mut scratch, &ev, args);
         let QueuedEvent { user, .. } = ev;
-        let mut store = DirectStore { db };
         let result = self.run_wave(
             compiled,
-            &mut store,
+            db,
             audit,
             trace,
             &user,
@@ -872,9 +627,8 @@ impl RuntimeEngine {
     }
 
     /// Resets the scratch and enqueues the wave's root item for `ev`.
-    /// `args` is passed separately so the sequential path can move the
-    /// event's arguments (no per-event allocation) while the lane path —
-    /// which must keep the event intact for error requeueing — clones.
+    /// `args` is passed separately so the caller can move the event's
+    /// arguments out (no per-event allocation).
     fn seed_wave(
         compiled: &CompiledBlueprint,
         scratch: &mut WaveScratch,
@@ -900,10 +654,10 @@ impl RuntimeEngine {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn run_wave<S: WaveStore>(
+    fn run_wave(
         &self,
         compiled: &CompiledBlueprint,
-        store: &mut S,
+        db: &mut MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         user: &str,
@@ -915,11 +669,11 @@ impl RuntimeEngine {
             match item.delivery {
                 Delivery::Target(id) => {
                     self.deliver_compiled(
-                        compiled, store, audit, trace, user, &item, id, scratch, outcome, clock,
+                        compiled, db, audit, trace, user, &item, id, scratch, outcome, clock,
                     )?;
                 }
                 Delivery::PropagateFrom(id) => {
-                    self.propagate_compiled(store, audit, trace, &item, id, scratch)?;
+                    self.propagate_compiled(db, audit, trace, &item, id, scratch)?;
                 }
             }
         }
@@ -931,10 +685,10 @@ impl RuntimeEngine {
     /// (including audit-record order) so the two paths stay differentially
     /// testable.
     #[allow(clippy::too_many_arguments)]
-    fn deliver_compiled<S: WaveStore>(
+    fn deliver_compiled(
         &self,
         compiled: &CompiledBlueprint,
-        store: &mut S,
+        db: &mut MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         user: &str,
@@ -946,11 +700,11 @@ impl RuntimeEngine {
     ) -> Result<(), EngineError> {
         let ev_name: &str = &item.name;
         // Probe liveness first, as the interpreted path does.
-        store.probe(id)?;
+        db.entry(id)?;
         if self.policy.cycle_guard && !scratch.visited.insert((id, item.event)) {
             audit_record(audit, AuditKind::CycleSkipped, || {
                 Ok(AuditRecord::CycleSkipped {
-                    oid: store.oid(id)?.clone(),
+                    oid: db.oid(id)?.clone(),
                     event: ev_name.to_string(),
                 })
             })?;
@@ -961,16 +715,16 @@ impl RuntimeEngine {
             // Resolve the dispatch table through the per-view cache: the
             // database interned the view name at OID creation, so the
             // steady state is one Vec index instead of a string hash.
-            let view_sym = store.view_sym(id)?;
+            let view_sym = db.entry(id)?.view_sym();
             let table_index = {
-                let oid = store.oid(id)?;
+                let oid = db.oid(id)?;
                 scratch.table_index(compiled, view_sym, oid.view.as_str())
             };
-            if table_index.is_none() && store.oid(id)?.view.as_str() != "default" {
+            if table_index.is_none() && db.oid(id)?.view.as_str() != "default" {
                 match self.policy.unknown_views {
                     Strictness::Reject => {
                         return Err(PolicyViolation::UnknownView {
-                            view: store.oid(id)?.view.to_string(),
+                            view: db.oid(id)?.view.to_string(),
                             event: ev_name.to_string(),
                         }
                         .into());
@@ -978,7 +732,7 @@ impl RuntimeEngine {
                     Strictness::Observe => {
                         audit_record(audit, AuditKind::UnmatchedEvent, || {
                             Ok(AuditRecord::UnmatchedEvent {
-                                oid: store.oid(id)?.clone(),
+                                oid: db.oid(id)?.clone(),
                                 event: ev_name.to_string(),
                             })
                         })?;
@@ -994,7 +748,7 @@ impl RuntimeEngine {
             match self.policy.unmatched_events {
                 Strictness::Reject => {
                     return Err(PolicyViolation::UnmatchedEvent {
-                        view: store.oid(id)?.view.to_string(),
+                        view: db.oid(id)?.view.to_string(),
                         event: ev_name.to_string(),
                     }
                     .into());
@@ -1002,7 +756,7 @@ impl RuntimeEngine {
                 Strictness::Observe => {
                     audit_record(audit, AuditKind::UnmatchedEvent, || {
                         Ok(AuditRecord::UnmatchedEvent {
-                            oid: store.oid(id)?.clone(),
+                            oid: db.oid(id)?.clone(),
                             event: ev_name.to_string(),
                         })
                     })?;
@@ -1013,12 +767,12 @@ impl RuntimeEngine {
 
         audit_record(audit, AuditKind::Delivered, || {
             Ok(AuditRecord::Delivered {
-                oid: store.oid(id)?.clone(),
+                oid: db.oid(id)?.clone(),
                 event: ev_name.to_string(),
             })
         })?;
         if trace.enabled() {
-            let oid = store.oid(id)?.clone();
+            let oid = db.oid(id)?.clone();
             trace.push(TraceRecord::Deliver {
                 view: oid.view.to_string(),
                 oid,
@@ -1031,11 +785,10 @@ impl RuntimeEngine {
         if let Some(d) = dispatch {
             for assign in d.assigns.iter() {
                 let value = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let props = &db.entry(id)?.props;
+                    let oid = db.oid(id)?;
                     let ctx = EvalCtx {
                         props,
-                        overlay,
                         oid,
                         event: ev_name,
                         args: &item.args,
@@ -1046,21 +799,21 @@ impl RuntimeEngine {
                 };
                 if trace.enabled() {
                     trace.push(TraceRecord::Write {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: assign.prop.clone(),
                         value: value.clone(),
                     });
                 }
                 if audit.enabled() {
-                    let old = store.set_prop(id, &assign.prop, value.clone())?;
+                    let old = db.set_prop(id, &assign.prop, value.clone())?;
                     audit.push(AuditRecord::Assigned {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: assign.prop.clone(),
                         old,
                         new: value,
                     });
                 } else {
-                    store.set_prop_quiet(id, &assign.prop, value)?;
+                    db.set_prop(id, &assign.prop, value)?;
                     audit.note(AuditKind::Assigned);
                 }
             }
@@ -1070,11 +823,10 @@ impl RuntimeEngine {
         if self.policy.eager_lets {
             for let_def in table.lets() {
                 let value = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let props = &db.entry(id)?.props;
+                    let oid = db.oid(id)?;
                     let ctx = EvalCtx {
                         props,
-                        overlay,
                         oid,
                         event: ev_name,
                         args: &item.args,
@@ -1085,20 +837,20 @@ impl RuntimeEngine {
                 };
                 if trace.enabled() {
                     trace.push(TraceRecord::Write {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: let_def.name.clone(),
                         value: value.clone(),
                     });
                 }
                 if audit.enabled() {
-                    store.set_prop(id, &let_def.name, value.clone())?;
+                    db.set_prop(id, &let_def.name, value.clone())?;
                     audit.push(AuditRecord::Reevaluated {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         name: let_def.name.clone(),
                         value,
                     });
                 } else {
-                    store.set_prop_quiet(id, &let_def.name, value)?;
+                    db.set_prop(id, &let_def.name, value)?;
                     audit.note(AuditKind::Reevaluated);
                 }
             }
@@ -1108,11 +860,10 @@ impl RuntimeEngine {
             // 3. exec rules (collected; the server dispatches them post-wave).
             for exec in d.execs.iter() {
                 let invocation = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let props = &db.entry(id)?.props;
+                    let oid = db.oid(id)?;
                     let ctx = EvalCtx {
                         props,
-                        overlay,
                         oid,
                         event: ev_name,
                         args: &item.args,
@@ -1147,7 +898,7 @@ impl RuntimeEngine {
                 if trace.enabled() {
                     trace.push(TraceRecord::Invoke {
                         script: invocation.script.clone(),
-                        origin: store.oid(id)?.clone(),
+                        origin: db.oid(id)?.clone(),
                         event: ev_name.to_string(),
                     });
                 }
@@ -1162,11 +913,10 @@ impl RuntimeEngine {
                 let rendered_args: Arc<[String]> = if post.args.is_empty() {
                     empty_args()
                 } else {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let props = &db.entry(id)?.props;
+                    let oid = db.oid(id)?;
                     let ctx = EvalCtx {
                         props,
-                        overlay,
                         oid,
                         event: ev_name,
                         args: &item.args,
@@ -1181,7 +931,7 @@ impl RuntimeEngine {
                 };
                 audit_record(audit, AuditKind::EventPosted, || {
                     Ok(AuditRecord::EventPosted {
-                        from: store.oid(id)?.clone(),
+                        from: db.oid(id)?.clone(),
                         event: post_name.to_string(),
                         direction: post.direction,
                         to_view: post.to_view.clone(),
@@ -1200,7 +950,7 @@ impl RuntimeEngine {
                         // Targeted post: one hop through an allowing link to
                         // OIDs of the named view; rules run there.
                         scratch.neighbors.clear();
-                        store.neighbors_into(
+                        db.neighbors_into(
                             id,
                             post.direction,
                             Some(post_name),
@@ -1208,18 +958,18 @@ impl RuntimeEngine {
                         )?;
                         for i in 0..scratch.neighbors.len() {
                             let next = scratch.neighbors[i];
-                            if store.oid(next)?.view.as_str() == target_view.as_str() {
+                            if db.oid(next)?.view.as_str() == target_view.as_str() {
                                 audit_record(audit, AuditKind::Propagated, || {
                                     Ok(AuditRecord::Propagated {
-                                        from: store.oid(id)?.clone(),
-                                        to: store.oid(next)?.clone(),
+                                        from: db.oid(id)?.clone(),
+                                        to: db.oid(next)?.clone(),
                                         event: post_name.to_string(),
                                     })
                                 })?;
                                 if trace.enabled() {
                                     trace.push(TraceRecord::Fire {
-                                        from: store.oid(id)?.clone(),
-                                        to: store.oid(next)?.clone(),
+                                        from: db.oid(id)?.clone(),
+                                        to: db.oid(next)?.clone(),
                                         event: post_name.to_string(),
                                     });
                                 }
@@ -1249,15 +999,15 @@ impl RuntimeEngine {
         }
 
         // 5. propagate the delivered event itself.
-        self.propagate_compiled(store, audit, trace, item, id, scratch)?;
+        self.propagate_compiled(db, audit, trace, item, id, scratch)?;
         Ok(())
     }
 
     /// Compiled-path counterpart of [`RuntimeEngine::propagate`]: crosses
     /// every allowing link out of `id` using the reusable neighbor buffer.
-    fn propagate_compiled<S: WaveStore>(
+    fn propagate_compiled(
         &self,
-        store: &mut S,
+        db: &MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         item: &CompiledWaveItem,
@@ -1265,20 +1015,20 @@ impl RuntimeEngine {
         scratch: &mut WaveScratch,
     ) -> Result<(), EngineError> {
         scratch.neighbors.clear();
-        store.neighbors_into(id, item.direction, Some(&item.name), &mut scratch.neighbors)?;
+        db.neighbors_into(id, item.direction, Some(&item.name), &mut scratch.neighbors)?;
         for i in 0..scratch.neighbors.len() {
             let next = scratch.neighbors[i];
             audit_record(audit, AuditKind::Propagated, || {
                 Ok(AuditRecord::Propagated {
-                    from: store.oid(id)?.clone(),
-                    to: store.oid(next)?.clone(),
+                    from: db.oid(id)?.clone(),
+                    to: db.oid(next)?.clone(),
                     event: item.name.to_string(),
                 })
             })?;
             if trace.enabled() {
                 trace.push(TraceRecord::Fire {
-                    from: store.oid(id)?.clone(),
-                    to: store.oid(next)?.clone(),
+                    from: db.oid(id)?.clone(),
+                    to: db.oid(next)?.clone(),
                     event: item.name.to_string(),
                 });
             }
@@ -1293,325 +1043,6 @@ impl RuntimeEngine {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Sharded batch path
-    // ------------------------------------------------------------------
-
-    /// Processes a batch of design events as N parallel shards —
-    /// observationally identical to running [`RuntimeEngine::process_compiled`]
-    /// over the batch in order, for *any* worker count (the sharded
-    /// differential property test holds outcomes, merged audit and the
-    /// persisted database image byte-identical across `n ∈ {1, 2, 4, 8}`
-    /// and the sequential path).
-    ///
-    /// How the equivalence is engineered:
-    ///
-    /// * events are **grouped by execution shard** ([`ShardMap::group_of`]
-    ///   of their anchor OID). The shard invariant — no allowing link ever
-    ///   crosses group boundaries — means an event's wave reads and writes
-    ///   only its own group's OIDs, so groups are independent;
-    /// * each group runs on one worker lane in batch order; workers execute
-    ///   waves against an overlay store (shared read-only database +
-    ///   private copy-on-write overlay), recording per-event write logs and
-    ///   per-event audit buffers. Each event carries its sequential logical
-    ///   clock (`base + index + 1`), so `$date` is position-dependent, not
-    ///   schedule-dependent;
-    /// * a **deterministic sequential epilogue** replays the write logs
-    ///   through the real database in ascending batch order — journal ops,
-    ///   secondary indices and counters land exactly as sequential
-    ///   execution would have produced them — and merges the audit buffers
-    ///   in the same order;
-    /// * on a wave error, the epilogue applies the error event's partial
-    ///   writes (the engine is an observer, not a transaction manager —
-    ///   same contract as the sequential path), reports the error, and
-    ///   returns every later event in [`ShardedBatch::unprocessed`] so the
-    ///   caller can requeue them untouched.
-    ///
-    /// Worker parallelism never changes results — only wall-clock time.
-    pub fn process_batch_sharded(
-        &mut self,
-        compiled: &CompiledBlueprint,
-        shards: &ShardMap,
-        db: &mut MetaDb,
-        audit: &mut AuditLog,
-        events: Vec<QueuedEvent>,
-        workers: usize,
-    ) -> ShardedBatch {
-        let mut trace = TraceLog::disabled();
-        self.process_batch_sharded_traced(compiled, shards, db, audit, &mut trace, events, workers)
-    }
-
-    /// [`RuntimeEngine::process_batch_sharded`] with an execution trace.
-    ///
-    /// Workers buffer trace records per event (like their audit buffers)
-    /// and the sequential epilogue absorbs them in ascending batch order,
-    /// so the merged trace is deterministic for any worker count. Records
-    /// from this path carry the worker lane and execution shard of each
-    /// event; when `trace` is disabled the path is byte-for-byte the
-    /// untraced one (no shard lookups, no buffering).
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_batch_sharded_traced(
-        &mut self,
-        compiled: &CompiledBlueprint,
-        shards: &ShardMap,
-        db: &mut MetaDb,
-        audit: &mut AuditLog,
-        trace: &mut TraceLog,
-        events: Vec<QueuedEvent>,
-        workers: usize,
-    ) -> ShardedBatch {
-        let base_clock = self.clock;
-        if events.is_empty() {
-            return ShardedBatch::default();
-        }
-
-        // Group by execution shard, preserving batch order inside a group.
-        let mut groups: BTreeMap<ShardId, Vec<(usize, QueuedEvent)>> = BTreeMap::new();
-        for (index, ev) in events.into_iter().enumerate() {
-            let group = shards.group_of(compiled, db, ev.delivery.anchor());
-            groups.entry(group).or_default().push((index, ev));
-        }
-
-        // Deterministic greedy lane assignment: groups in shard-id order,
-        // each to the least-loaded lane.
-        let lane_count = workers.clamp(1, groups.len().max(1));
-        let mut lanes: Vec<Vec<(usize, QueuedEvent)>> =
-            (0..lane_count).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; lane_count];
-        for (_, group) in groups {
-            let lane = (0..lane_count)
-                .min_by_key(|&l| (load[l], l))
-                .expect("lane_count >= 1");
-            load[lane] += group.len();
-            lanes[lane].extend(group);
-        }
-        for lane in &mut lanes {
-            lane.sort_by_key(|(index, _)| *index);
-        }
-
-        // Per-worker scratches, taken out of the engine for the scope.
-        if self.worker_scratches.len() < lane_count {
-            self.worker_scratches
-                .resize_with(lane_count, WaveScratch::default);
-        }
-        let mut pool = std::mem::take(&mut self.worker_scratches);
-        let audit_proto: &AuditLog = audit;
-        let trace_proto: &TraceLog = trace;
-        let engine: &RuntimeEngine = self;
-        let shared_db: &MetaDb = db;
-        let mut outputs: Vec<LaneOutput> = Vec::with_capacity(lane_count);
-        let worker_start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .into_iter()
-                .enumerate()
-                .zip(pool.iter_mut())
-                .map(|((lane_id, lane), scratch)| {
-                    scope.spawn(move || {
-                        engine.run_lane(
-                            compiled,
-                            shared_db,
-                            audit_proto,
-                            trace_proto,
-                            shards,
-                            lane_id,
-                            lane,
-                            scratch,
-                            base_clock,
-                        )
-                    })
-                })
-                .collect();
-            for handle in handles {
-                outputs.push(handle.join().expect("wave worker panicked"));
-            }
-        });
-        self.worker_scratches = pool;
-        self.batch_worker_ns += worker_start.elapsed().as_nanos() as u64;
-
-        // Deterministic epilogue. Runs up to (and including) the first
-        // wave error apply; later ones requeue untouched.
-        let apply_start = std::time::Instant::now();
-        let mut runs: Vec<EventRun> = Vec::new();
-        let mut deferred: Vec<(usize, QueuedEvent)> = Vec::new();
-        for output in outputs {
-            runs.extend(output.runs);
-            deferred.extend(output.leftover);
-        }
-        runs.sort_by_key(|run| run.index);
-        let err_index = runs
-            .iter()
-            .filter(|run| run.error.is_some())
-            .map(|run| run.index)
-            .min();
-        let mut applied_runs: Vec<EventRun> = Vec::with_capacity(runs.len());
-        for run in runs {
-            if err_index.is_some_and(|k| run.index > k) {
-                deferred.push((run.index, run.event));
-            } else {
-                applied_runs.push(run);
-            }
-        }
-
-        // All surviving runs' writes go through the sharded write
-        // pipeline in one pass: lanes are shard-disjoint by construction,
-        // so storage and index maintenance parallelize, while journal
-        // ops, counters and error semantics stay byte-identical to a
-        // serial set_prop replay in batch order.
-        let mut lane_writes: Vec<LaneWrites> =
-            (0..lane_count).map(|_| LaneWrites::default()).collect();
-        for run in &mut applied_runs {
-            let writes = std::mem::take(&mut run.writes);
-            lane_writes[run.lane].runs.push((run.index, writes));
-        }
-        let apply_err = db.apply_prop_writes_sharded(lane_writes, workers).err();
-        let apply_err_index = apply_err.as_ref().map(|(index, _)| *index);
-        let mut apply_error = apply_err.map(|(index, e)| (index, EngineError::from(e)));
-
-        let mut batch = ShardedBatch::default();
-        let mut processed = 0u64;
-        for run in applied_runs {
-            if batch.error.is_some() || apply_err_index.is_some_and(|k| run.index > k) {
-                deferred.push((run.index, run.event));
-                continue;
-            }
-            processed += 1;
-            audit.absorb(run.audit);
-            trace.absorb(run.trace);
-            let apply_e = match &apply_error {
-                Some((index, _)) if *index == run.index => apply_error.take().map(|(_, e)| e),
-                _ => None,
-            };
-            match run.error.or(apply_e) {
-                Some(e) => batch.error = Some(e),
-                None => batch.outcomes.push(run.outcome),
-            }
-        }
-        self.clock = base_clock + processed;
-        deferred.sort_by_key(|(index, _)| *index);
-        batch.unprocessed = deferred.into_iter().map(|(_, ev)| ev).collect();
-        self.batch_apply_ns += apply_start.elapsed().as_nanos() as u64;
-        batch
-    }
-
-    /// One worker's share of a sharded batch: executes its events in batch
-    /// order against an overlay store, stopping at the first error (the
-    /// epilogue decides what the authoritative batch error is).
-    #[allow(clippy::too_many_arguments)]
-    fn run_lane(
-        &self,
-        compiled: &CompiledBlueprint,
-        db: &MetaDb,
-        audit_proto: &AuditLog,
-        trace_proto: &TraceLog,
-        shards: &ShardMap,
-        lane_id: usize,
-        lane: Vec<(usize, QueuedEvent)>,
-        scratch: &mut WaveScratch,
-        base_clock: u64,
-    ) -> LaneOutput {
-        let mut store = OverlayStore {
-            db,
-            dirty: OidMap::default(),
-            writes: Vec::new(),
-        };
-        let mut runs = Vec::with_capacity(lane.len());
-        let mut iter = lane.into_iter();
-        for (index, ev) in iter.by_ref() {
-            let clock = base_clock + index as u64 + 1;
-            let mut audit = audit_proto.buffer();
-            let mut trace = trace_proto.buffer();
-            if trace.enabled() {
-                let shard = shards.group_of(compiled, db, ev.delivery.anchor());
-                if let Ok(target) = db.oid(ev.delivery.anchor()) {
-                    trace.push(TraceRecord::Begin {
-                        event: ev.event.clone(),
-                        target: target.clone(),
-                        user: ev.user.clone(),
-                        clock,
-                        lane: Some(lane_id as u64),
-                        shard: Some(u64::from(shard.0)),
-                    });
-                }
-            }
-            let mut outcome = ProcessOutcome::default();
-            // The event stays intact for error requeueing, so the lane
-            // clones its arguments into the wave.
-            Self::seed_wave(compiled, scratch, &ev, ev.args.clone());
-            let result = self.run_wave(
-                compiled,
-                &mut store,
-                &mut audit,
-                &mut trace,
-                &ev.user,
-                scratch,
-                &mut outcome,
-                clock,
-            );
-            if trace.enabled() {
-                trace.push(TraceRecord::End {
-                    delivered: outcome.delivered,
-                });
-            }
-            let writes = std::mem::take(&mut store.writes);
-            let error = result.err();
-            let stop = error.is_some();
-            runs.push(EventRun {
-                index,
-                lane: lane_id,
-                event: ev,
-                writes,
-                audit,
-                trace,
-                outcome,
-                error,
-            });
-            if stop {
-                break;
-            }
-        }
-        LaneOutput {
-            runs,
-            leftover: iter.collect(),
-        }
-    }
-}
-
-/// The result of one sharded batch (see
-/// [`RuntimeEngine::process_batch_sharded`]).
-#[derive(Debug, Default)]
-pub struct ShardedBatch {
-    /// Per-event outcomes, in batch order, for every event that executed
-    /// (all of them when `error` is `None`).
-    pub outcomes: Vec<ProcessOutcome>,
-    /// The first error in batch order, if any. Writes the erroring wave
-    /// performed before failing are applied, as on the sequential path.
-    pub error: Option<EngineError>,
-    /// Events after the erroring one, untouched and in order — the caller
-    /// requeues them at the front of its queue.
-    pub unprocessed: Vec<QueuedEvent>,
-}
-
-/// What one worker lane produced.
-struct LaneOutput {
-    runs: Vec<EventRun>,
-    leftover: Vec<(usize, QueuedEvent)>,
-}
-
-/// One executed event of a sharded batch, ready for the epilogue.
-struct EventRun {
-    index: usize,
-    /// The worker lane that executed the event. Lanes hold disjoint OID
-    /// sets, which is what lets the epilogue apply all lanes' writes
-    /// through the parallel [`MetaDb::apply_prop_writes_sharded`] pass.
-    lane: usize,
-    event: QueuedEvent,
-    writes: Vec<PropWrite>,
-    audit: AuditLog,
-    trace: TraceLog,
-    outcome: ProcessOutcome,
-    error: Option<EngineError>,
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use damocles_meta::{
 };
 
 use crate::engine::audit::{AuditKind, AuditLog};
-use crate::engine::compile::{CompiledBlueprint, ShardMap};
+use crate::engine::compile::CompiledBlueprint;
 use crate::engine::error::EngineError;
 use crate::engine::event::{Delivery, QueuedEvent};
 use crate::engine::exec::{NullExecutor, PreparedRun, ScriptExecutor, ScriptInvocation, ToolCtx};
@@ -56,21 +56,6 @@ impl ProcessReport {
         self.scripts += other.scripts;
         self.emitted += other.emitted;
     }
-}
-
-/// The wave worker count new servers start with: the
-/// `DAMOCLES_WAVE_WORKERS` environment variable when it parses (floored
-/// at 1), else 1 — sequential draining. Sharded waves are byte-identical
-/// to sequential execution at every worker count but measure slower than
-/// it on the benches (`waves/instance_chains`, `waves/parallel`), so they
-/// are opt-in: `workers N` (shell), `--wave-workers N` (server binary),
-/// or the environment knob, which also lets CI force the sharded path on
-/// any suite.
-pub fn default_wave_workers() -> usize {
-    std::env::var("DAMOCLES_WAVE_WORKERS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// Snapshot file name inside a durability directory.
@@ -283,14 +268,6 @@ pub struct ProjectServer<E = NullExecutor> {
     /// (see [`crate::engine::tail`]). Shared with the service layer so
     /// the hub survives `Init` server swaps.
     tail: Arc<TailHub>,
-    /// Worker threads for the sharded wave path (see
-    /// [`ProjectServer::set_wave_workers`]); `1` = sequential.
-    wave_workers: usize,
-    /// Cached shard partition for the parallel wave path, rebuilt when the
-    /// blueprint generation or the database's link topology moves (a
-    /// `Connect` that bridges two previously-disjoint components bumps the
-    /// topology stamp and thereby the shard-map generation).
-    shard_map: Option<ShardMap>,
     /// The async invocation pool running detached tool runs (see
     /// [`crate::engine::invoke`]); inline executors never touch it.
     invoker: Invoker,
@@ -376,8 +353,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             group_commit: false,
             journal_poisoned: false,
             tail: Arc::new(TailHub::new()),
-            wave_workers: default_wave_workers(),
-            shard_map: None,
             invoker: Invoker::default(),
             in_flight_ops: BTreeMap::new(),
             next_event_seq: 0,
@@ -429,7 +404,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 let entry = self.db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &entry.oid,
                     event: "refresh",
                     args: &[],
@@ -480,10 +454,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.workspace = workspace;
         // The engine's per-view dispatch cache is keyed by the old
         // database's view symbols; the adopted database may intern the
-        // same view names in a different order. The shard map is likewise
-        // per-database (its topology stamp could coincide by value).
+        // same view names in a different order.
         self.engine.invalidate_dispatch_cache();
-        self.shard_map = None;
         if let Some(d) = self.durability.as_mut() {
             self.db.attach_journal();
             d.force_checkpoint = true;
@@ -1192,35 +1164,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.ast_dispatch
     }
 
-    /// Sets the wave worker count for [`ProjectServer::process_all`]
-    /// (clamped to at least 1). With `n > 1` each drained batch of queued
-    /// events executes as link-connected shards across `n` worker
-    /// threads; `1` keeps the sequential path. Results are identical
-    /// either way — the sharded path is differentially tested against the
-    /// sequential one — so this knob trades threads for wall-clock only.
-    ///
-    /// Within one parallel batch, wrapper invocations are dispatched
-    /// after the whole batch's waves, in event order — and with a
-    /// detached executor their results re-enter the queue in that same
-    /// dispatch order (the pool's ordered harvest, see
-    /// [`crate::engine::invoke`]), so the final image matches the
-    /// sequential path even though tool runs overlap freely.
-    pub fn set_wave_workers(&mut self, workers: usize) {
-        self.wave_workers = workers.max(1);
-    }
-
-    /// The wave worker count in force.
-    pub fn wave_workers(&self) -> usize {
-        self.wave_workers
-    }
-
-    /// Cumulative `(worker_ns, apply_ns)` phase split of the sharded wave
-    /// batches this server has run — see
-    /// [`RuntimeEngine::batch_phase_ns`].
-    pub fn wave_phase_ns(&self) -> (u64, u64) {
-        self.engine.batch_phase_ns()
-    }
-
     // ------------------------------------------------------------------
     // Async invocation pool
     // ------------------------------------------------------------------
@@ -1259,25 +1202,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// [`ProjectServer::process_round`]).
     pub fn wait_invocations(&self, timeout: Duration) -> bool {
         self.invoker.wait_harvest(timeout)
-    }
-
-    /// The shard partition the parallel wave path would use right now.
-    /// A stale cached [`ShardMap`] is first offered the database's
-    /// topology delta log ([`ShardMap::try_update`]) — mid-session
-    /// `Connect`/`PROPAGATE` growth patches in as pure union-find merges;
-    /// only severing changes (or delta-log truncation, or a blueprint
-    /// swap) pay for a full rebuild. Also the observability hook for
-    /// tests and tooling (group count, runtime merges, incremental
-    /// updates, generation).
-    pub fn shard_map(&mut self) -> &ShardMap {
-        let updated = match self.shard_map.as_mut() {
-            Some(map) => map.try_update(&self.compiled, &self.db),
-            None => false,
-        };
-        if !updated {
-            self.shard_map = Some(ShardMap::build(&self.compiled, &self.db));
-        }
-        self.shard_map.as_ref().expect("built above")
     }
 
     // ------------------------------------------------------------------
@@ -1560,8 +1484,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// The shared drain: folds landed results and the wrapper inbox into
-    /// the queue, then processes events (sequentially or sharded) until
-    /// the queue is empty. Never waits on in-flight detached work.
+    /// the queue, then processes events one at a time until the queue is
+    /// empty. Never waits on in-flight detached work.
     fn drain_round(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
         loop {
             self.absorb_finished(report)?;
@@ -1575,12 +1499,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 .try_for_each(|posted| self.enqueue_lenient(&posted.message, &posted.user));
             self.inbox_buf = inbox;
             drained?;
-            // The sharded path takes the whole queued batch at once;
-            // feedback events (wrapper posts) arrive for the next round.
-            if self.wave_workers > 1 && !self.ast_dispatch && !self.queue.is_empty() {
-                self.process_batch(report)?;
-                continue;
-            }
             let Some(ev) = self.queue.dequeue() else {
                 return Ok(());
             };
@@ -1623,73 +1541,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         if let Some(seq) = seq {
             self.db.record_extra(JournalOp::EventDone { seq });
         }
-    }
-
-    /// One sharded round of `process_all`: takes every queued event as a
-    /// batch, runs it across the wave worker pool, then dispatches the
-    /// wrapper invocations in event order. On a wave error the untouched
-    /// tail of the batch returns to the queue front, exactly as if the
-    /// sequential loop had stopped there.
-    fn process_batch(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
-        let allowance = self.max_events_per_drain.saturating_sub(report.events);
-        if allowance == 0 {
-            return Err(EngineError::Runaway {
-                processed: report.events,
-            });
-        }
-        let mut events = Vec::with_capacity(self.queue.len().min(allowance as usize));
-        while (events.len() as u64) < allowance {
-            match self.queue.dequeue() {
-                Some(ev) => events.push(ev),
-                None => break,
-            }
-        }
-        // Durable-queue bookkeeping: the batch consumes its events, so
-        // capture their sequence stamps first; only the applied prefix is
-        // marked done (a requeued tail keeps its stamps and stays pending).
-        let seqs: Vec<Option<u64>> = events.iter().map(|ev| ev.seq).collect();
-        // Refresh the shard partition if the blueprint or the link
-        // topology changed since the last batch; it is then taken out and
-        // put back so the engine can borrow the database mutably.
-        self.shard_map();
-        let shards = self.shard_map.take().expect("refreshed above");
-        let batch = self.engine.process_batch_sharded_traced(
-            &self.compiled,
-            &shards,
-            &mut self.db,
-            &mut self.audit,
-            &mut self.trace,
-            events,
-            self.wave_workers,
-        );
-        self.shard_map = Some(shards);
-        let applied = batch.outcomes.len();
-        let mut invocations = Vec::new();
-        for outcome in batch.outcomes {
-            report.absorb(ProcessReport {
-                events: 1,
-                deliveries: outcome.delivered,
-                ..Default::default()
-            });
-            invocations.extend(outcome.invocations);
-        }
-        for seq in seqs.into_iter().take(applied).flatten() {
-            self.mark_event_done(Some(seq));
-        }
-        if let Some(error) = batch.error {
-            // The sequential loop dispatches each pre-error event's
-            // invocations before reaching the erroring event; do the same
-            // for the batch's applied prefix, THEN surface the error.
-            // Order matters for the queue too: executor-posted messages
-            // append to the (drained) queue first, and the untouched tail
-            // then returns to the front — exactly the sequential order
-            // `[unreached events…, wrapper messages…]`.
-            let dispatched = self.dispatch_invocations(invocations, report);
-            self.queue.requeue_front(batch.unprocessed.into_iter());
-            dispatched?;
-            return Err(error);
-        }
-        self.dispatch_invocations(invocations, report)
     }
 
     /// Runs collected `exec`/`notify` invocations through the script

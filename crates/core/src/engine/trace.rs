@@ -3,9 +3,9 @@
 //!
 //! An [`AuditLog`](crate::engine::audit::AuditLog) answers "how many
 //! deliveries/writes happened"; a [`TraceLog`] answers "in what order, on
-//! which object, fired by which link, on which worker lane" — the record a
-//! time-travel debugger replays next to a journal cursor. Each processed
-//! event contributes a bracketed run of [`TraceRecord`]s:
+//! which object, fired by which link" — the record a time-travel debugger
+//! replays next to a journal cursor. Each processed event contributes a
+//! bracketed run of [`TraceRecord`]s:
 //!
 //! ```text
 //! begin ckin cpu,HDL_model,2 yves 7 - -
@@ -18,16 +18,13 @@
 //! end 2
 //! ```
 //!
-//! The discipline mirrors the audit log exactly:
+//! The discipline mirrors the audit log: retention is off by default;
+//! every hot-path hook is guarded by [`TraceLog::enabled`], so a disabled
+//! trace costs one branch per potential record and allocates nothing.
 //!
-//! * **Zero cost when off.** Retention is off by default; every hot-path
-//!   hook is guarded by [`TraceLog::enabled`], so a disabled trace costs
-//!   one branch per potential record and allocates nothing.
-//! * **Deterministic sharded merge.** Worker lanes trace into per-event
-//!   buffers ([`TraceLog::buffer`]) that the sequential epilogue absorbs
-//!   in batch order ([`TraceLog::absorb`]) — a sharded drain yields the
-//!   same record *content* as a sequential one, with the lane and shard
-//!   ids filled in on each event's `begin` record.
+//! The two trailing `-` columns of a `begin` record are a fixed part of
+//! the format: the encoder always writes them and the decoder accepts `-`
+//! or `+<n>` there and ignores the value, so older traces still load.
 //!
 //! Records use the protocol's word codec (`PROTOCOL.md` §1), so a trace
 //! streams through [`Response::Trace`](crate::engine::api::Response) and
@@ -51,10 +48,6 @@ pub enum TraceRecord {
         user: String,
         /// The engine clock stamped on this wave.
         clock: u64,
-        /// Worker lane that ran the wave (`None` on the sequential path).
-        lane: Option<u64>,
-        /// Shard group of the anchor (`None` on the sequential path).
-        shard: Option<u64>,
     },
     /// A dispatch table fired: `oid` (of view `view`) executed its rules
     /// for `event`.
@@ -112,10 +105,6 @@ pub enum TraceRecord {
     },
 }
 
-fn enc_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "-".to_string(), |n| format!("+{n}"))
-}
-
 impl TraceRecord {
     /// Renders the record's canonical single-line form (no newline).
     pub fn encode(&self) -> String {
@@ -125,15 +114,11 @@ impl TraceRecord {
                 target,
                 user,
                 clock,
-                lane,
-                shard,
             } => format!(
-                "begin {} {} {} {clock} {} {}",
+                "begin {} {} {} {clock} - -",
                 enc_str(event),
                 enc_str(&target.to_string()),
                 enc_str(user),
-                enc_opt_u64(*lane),
-                enc_opt_u64(*shard)
             ),
             TraceRecord::Deliver { oid, event, view } => format!(
                 "deliver {} {} {}",
@@ -194,23 +179,27 @@ impl TraceRecord {
             w.parse::<u64>()
                 .map_err(|_| format!("`{w}` is not a number"))
         };
-        let opt_num = |w: &str| -> Result<Option<u64>, String> {
+        // The trailing `begin` columns: `-` or `+<n>`, value ignored.
+        let placeholder = |w: &str| -> Result<(), String> {
             match w.strip_prefix('+') {
-                Some(n) => num(n).map(Some),
-                None if w == "-" => Ok(None),
+                Some(n) => num(n).map(|_| ()),
+                None if w == "-" => Ok(()),
                 None => Err(format!("expected `-` or `+<n>`, found `{w}`")),
             }
         };
         let kind = next("a trace record kind")?;
         let rec = match kind.as_str() {
-            "begin" => TraceRecord::Begin {
-                event: string(&next("an event")?)?,
-                target: oid(&next("a target OID")?)?,
-                user: string(&next("a user")?)?,
-                clock: num(&next("a clock")?)?,
-                lane: opt_num(&next("a lane")?)?,
-                shard: opt_num(&next("a shard")?)?,
-            },
+            "begin" => {
+                let rec = TraceRecord::Begin {
+                    event: string(&next("an event")?)?,
+                    target: oid(&next("a target OID")?)?,
+                    user: string(&next("a user")?)?,
+                    clock: num(&next("a clock")?)?,
+                };
+                placeholder(&next("a lane column")?)?;
+                placeholder(&next("a shard column")?)?;
+                rec
+            }
             "deliver" => TraceRecord::Deliver {
                 oid: oid(&next("an OID")?)?,
                 event: string(&next("an event")?)?,
@@ -254,8 +243,7 @@ impl TraceRecord {
 
 /// The execution trace log: an ordered capture of [`TraceRecord`]s with
 /// the audit log's retention discipline — off by default, one branch per
-/// potential record when off, per-worker buffering with a deterministic
-/// merge when sharded.
+/// potential record when off.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     records: Vec<TraceRecord>,
@@ -319,25 +307,6 @@ impl TraceLog {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// An empty log with this log's retention mode — what each worker
-    /// lane traces one event into ([`TraceLog::absorb`] merges them back
-    /// deterministically).
-    pub fn buffer(&self) -> TraceLog {
-        TraceLog {
-            records: Vec::new(),
-            retain: self.retain,
-        }
-    }
-
-    /// Appends a per-event buffer's records. The sharded epilogue calls
-    /// this in batch order, so the merged trace is ordered by event, not
-    /// by worker completion time.
-    pub fn absorb(&mut self, buffer: TraceLog) {
-        if self.retain {
-            self.records.extend(buffer.records);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,16 +320,12 @@ mod tests {
                 target: Oid::new("cpu", "HDL_model", 2),
                 user: "yves lin".into(),
                 clock: 7,
-                lane: None,
-                shard: None,
             },
             TraceRecord::Begin {
                 event: "outofdate".into(),
                 target: Oid::new("cpu", "schematic", 1),
                 user: String::new(),
                 clock: 8,
-                lane: Some(2),
-                shard: Some(5),
             },
             TraceRecord::Deliver {
                 oid: Oid::new("cpu", "schematic", 1),
@@ -418,6 +383,27 @@ mod tests {
         assert!(TraceRecord::decode("end 3 extra").is_err());
         assert!(TraceRecord::decode("settle tool 2 yes").is_err());
         assert!(TraceRecord::decode("begin ev cpu,v,1 u 4 * -").is_err());
+        assert!(TraceRecord::decode("begin ev cpu,v,1 u 4 -").is_err());
+    }
+
+    #[test]
+    fn begin_accepts_numbered_trailing_columns_and_ignores_them() {
+        let numbered = TraceRecord::decode("begin outofdate cpu,schematic,1 yves 8 +2 +5")
+            .expect("`+n` columns decode");
+        let plain = TraceRecord::Begin {
+            event: "outofdate".into(),
+            target: Oid::new("cpu", "schematic", 1),
+            user: "yves".into(),
+            clock: 8,
+        };
+        assert_eq!(numbered, plain);
+        assert_eq!(
+            numbered.encode(),
+            "begin outofdate cpu,schematic,1 yves 8 - -",
+            "the encoder always writes `-` columns"
+        );
+        let mixed = TraceRecord::decode("begin outofdate cpu,schematic,1 yves 8 - +3").unwrap();
+        assert_eq!(mixed, plain);
     }
 
     #[test]
@@ -443,31 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn buffers_absorb_in_call_order() {
-        let mut log = TraceLog::retaining();
-        let mut a = log.buffer();
-        let mut b = log.buffer();
-        assert!(a.enabled() && b.enabled());
-        b.push(TraceRecord::End { delivered: 2 });
-        a.push(TraceRecord::End { delivered: 1 });
-        log.absorb(a);
-        log.absorb(b);
-        assert_eq!(
-            log.records(),
-            &[
-                TraceRecord::End { delivered: 1 },
-                TraceRecord::End { delivered: 2 }
-            ]
-        );
-    }
-
-    #[test]
     fn disabling_drops_records() {
         let mut log = TraceLog::retaining();
         log.push(TraceRecord::End { delivered: 1 });
         log.set_retaining(false);
         assert!(log.is_empty() && !log.enabled());
-        let buf = log.buffer();
-        assert!(!buf.enabled(), "buffers inherit the disabled mode");
     }
 }

@@ -1,24 +1,20 @@
-//! Differential property tests of the engine's execution modes.
+//! Differential property test of the engine's two dispatch paths: the
+//! compiled dispatch path must be observationally identical to the seed's
+//! AST-walking path.
 //!
-//! 1. The compiled dispatch path must be observationally identical to the
-//!    seed's AST-walking path.
-//! 2. The sharded batch path ([`RuntimeEngine::process_batch_sharded`])
-//!    must be observationally identical to sequential compiled execution
-//!    at **every** worker count (`n ∈ {1, 2, 4, 8}`).
-//!
-//! For randomized blueprints, design graphs and event streams, the paths
-//! are run side by side on cloned databases and held to the same
-//! [`ProcessOutcome`] (delivered count and script invocations), the same
-//! retained audit-record sequence, the same journal-op stream
+//! For randomized designs and event streams, the paths are run side by
+//! side on cloned databases and held to the same [`ProcessOutcome`]
+//! (delivered count and script invocations), the same retained
+//! audit-record sequence, the same journal-op stream
 //! ([`MetaDb::drain_journal_ops`]) and the same final database image
-//! (`damocles_meta::persist::save`). The random graphs deliberately
-//! include raw links that bridge compile-time shard components, and a
-//! dedicated case runs disjoint instance chains of one view family —
-//! per-OID [`ShardMap`] groups that only exist with instance-level
-//! sharding — so both merge and split behaviour are exercised.
+//! (`damocles_meta::persist::save`). Two input families feed it: random
+//! blueprints over random link graphs, and write-heavy instance chains of
+//! one view family welded together by random raw bridge links.
+//!
+//! [`ProcessOutcome`]: blueprint_core::engine::runtime::ProcessOutcome
 
 use blueprint_core::engine::audit::AuditLog;
-use blueprint_core::engine::compile::{CompiledBlueprint, ShardMap};
+use blueprint_core::engine::compile::CompiledBlueprint;
 use blueprint_core::engine::event::QueuedEvent;
 use blueprint_core::engine::policy::Policy;
 use blueprint_core::engine::runtime::RuntimeEngine;
@@ -221,9 +217,9 @@ fn events() -> impl Strategy<Value = Vec<EventSpec>> {
     )
 }
 
-/// A fixed two-view blueprint for the instance-chain cases: both chain
-/// views carry write-heavy rules so every delivery produces prop writes
-/// that the sharded apply pipeline must order exactly like sequential.
+/// A fixed two-view blueprint for the instance-chain family: both chain
+/// views carry write-heavy rules, so every delivery produces property
+/// writes whose order the journal-op comparison checks.
 fn chain_blueprint() -> Blueprint {
     let mut alpha = ViewDef::empty("alpha".to_string());
     alpha.rules.push(RuleDef {
@@ -273,11 +269,7 @@ fn chain_blueprint() -> Blueprint {
 /// drawn from the same alpha/beta view family, linked along the chain
 /// with PROPAGATE ev0+ckin, plus raw bridge links (tail of chain `a` to
 /// head of chain `b`) for each requested bridge pair.
-fn build_chains(
-    chains: usize,
-    length: usize,
-    bridges: &[(usize, usize)],
-) -> (MetaDb, Vec<OidId>, Vec<Vec<OidId>>) {
+fn build_chains(chains: usize, length: usize, bridges: &[(usize, usize)]) -> (MetaDb, Vec<OidId>) {
     let mut db = MetaDb::new();
     let mut all = Vec::new();
     let mut per_chain = Vec::new();
@@ -317,13 +309,62 @@ fn build_chains(
         )
         .expect("bridge endpoints live");
     }
-    (db, all, per_chain)
+    (db, all)
+}
+
+/// One input family of the differential test.
+#[derive(Debug, Clone)]
+enum Design {
+    /// A random blueprint over a random link graph.
+    Random(Blueprint, GraphSpec),
+    /// [`chain_blueprint`] over [`build_chains`].
+    Chains {
+        chains: usize,
+        length: usize,
+        bridges: Vec<(usize, usize)>,
+    },
+}
+
+impl Design {
+    fn build(&self) -> (Blueprint, MetaDb, Vec<OidId>) {
+        match self {
+            Design::Random(bp, spec) => {
+                let (db, ids) = build_db(spec);
+                (bp.clone(), db, ids)
+            }
+            Design::Chains {
+                chains,
+                length,
+                bridges,
+            } => {
+                let (db, ids) = build_chains(*chains, *length, bridges);
+                (chain_blueprint(), db, ids)
+            }
+        }
+    }
+}
+
+fn design() -> impl Strategy<Value = Design> {
+    prop_oneof![
+        (blueprint(), graph()).prop_map(|(bp, spec)| Design::Random(bp, spec)),
+        (
+            2usize..5,
+            2usize..5,
+            proptest::collection::vec((0usize..4, 0usize..4), 0..3),
+        )
+            .prop_map(|(chains, length, bridges)| Design::Chains {
+                chains,
+                length,
+                bridges,
+            }),
+    ]
 }
 
 /// Per-event observation: delivered count and debug-rendered invocations.
 type Observation = (u64, Vec<String>);
-/// Full-stream observation: per-event outcomes, final db image, audit trail.
-type StreamObservation = (Vec<Observation>, String, Vec<String>);
+/// Full-stream observation: per-event outcomes, final db image, audit
+/// trail, journal ops.
+type StreamObservation = (Vec<Observation>, String, Vec<String>, Vec<String>);
 
 fn run_stream(
     process: impl Fn(&mut RuntimeEngine, &mut MetaDb, &mut AuditLog, QueuedEvent) -> Observation,
@@ -335,6 +376,7 @@ fn run_stream(
     let mut engine = RuntimeEngine::new(policy.clone());
     let mut audit = AuditLog::retaining();
     let mut outcomes = Vec::new();
+    db.attach_journal();
     for (event_idx, up, target, arg) in stream {
         let dir = if *up { Direction::Up } else { Direction::Down };
         let id = ids[target % ids.len()];
@@ -342,18 +384,23 @@ fn run_stream(
         outcomes.push(process(&mut engine, db, &mut audit, ev));
     }
     let records: Vec<String> = audit.records().iter().map(|r| format!("{r:?}")).collect();
-    (outcomes, persist::save(db), records)
+    let journal: Vec<String> = db
+        .drain_journal_ops()
+        .iter()
+        .map(|op| format!("{op:?}"))
+        .collect();
+    (outcomes, persist::save(db), records, journal)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Both dispatch paths produce identical outcomes, audit sequences and
-    /// database state on randomized blueprints, graphs and event streams.
+    /// Both dispatch paths produce identical outcomes, audit sequences,
+    /// journal ops and database state on randomized designs and event
+    /// streams.
     #[test]
     fn compiled_path_matches_ast_path(
-        bp in blueprint(),
-        spec in graph(),
+        design in design(),
         stream in events(),
         shallow in any::<bool>(),
     ) {
@@ -363,11 +410,11 @@ proptest! {
             ..Policy::default()
         };
 
-        let (mut db_ast, ids) = build_db(&spec);
+        let (bp, mut db_ast, ids) = design.build();
         let mut db_compiled = db_ast.clone();
         let compiled = CompiledBlueprint::compile(&bp);
 
-        let (ast_outcomes, ast_image, ast_records) = run_stream(
+        let (ast_outcomes, ast_image, ast_records, ast_journal) = run_stream(
             |engine, db, audit, ev| {
                 let out = engine.process(&bp, db, audit, ev).expect("lenient policy");
                 (
@@ -380,7 +427,7 @@ proptest! {
             &stream,
             &policy,
         );
-        let (compiled_outcomes, compiled_image, compiled_records) = run_stream(
+        let (compiled_outcomes, compiled_image, compiled_records, compiled_journal) = run_stream(
             |engine, db, audit, ev| {
                 let out = engine
                     .process_compiled(&compiled, db, audit, ev)
@@ -398,222 +445,7 @@ proptest! {
 
         prop_assert_eq!(ast_outcomes, compiled_outcomes);
         prop_assert_eq!(ast_records, compiled_records);
+        prop_assert_eq!(ast_journal, compiled_journal);
         prop_assert_eq!(ast_image, compiled_image);
-    }
-
-    /// The sharded batch path matches sequential compiled execution —
-    /// outcomes, merged audit-record sequence and persisted database image
-    /// byte-for-byte — at every worker count.
-    #[test]
-    fn sharded_batches_match_sequential_at_any_worker_count(
-        bp in blueprint(),
-        spec in graph(),
-        stream in events(),
-        shallow in any::<bool>(),
-    ) {
-        let policy = Policy {
-            max_post_depth: if shallow { 1 } else { 64 },
-            ..Policy::default()
-        };
-        let compiled = CompiledBlueprint::compile(&bp);
-        let (mut db_seq, ids) = build_db(&spec);
-        db_seq.attach_journal();
-
-        // Sequential reference: one process_compiled call per event.
-        let (seq_outcomes, seq_image, seq_records) = run_stream(
-            |engine, db, audit, ev| {
-                let out = engine
-                    .process_compiled(&compiled, db, audit, ev)
-                    .expect("lenient policy");
-                (
-                    out.delivered,
-                    out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                )
-            },
-            &mut db_seq,
-            &ids,
-            &stream,
-            &policy,
-        );
-        let seq_journal: Vec<String> = db_seq
-            .drain_journal_ops()
-            .iter()
-            .map(|op| format!("{op:?}"))
-            .collect();
-
-        for workers in [1usize, 2, 4, 8] {
-            let (mut db, ids) = build_db(&spec);
-            db.attach_journal();
-            let shards = ShardMap::build(&compiled, &db);
-            let mut engine = RuntimeEngine::new(policy.clone());
-            let mut audit = AuditLog::retaining();
-            let events: Vec<QueuedEvent> = stream
-                .iter()
-                .map(|(event_idx, up, target, arg)| {
-                    let dir = if *up { Direction::Up } else { Direction::Down };
-                    let id = ids[target % ids.len()];
-                    QueuedEvent::target(EVENTS[*event_idx], dir, id, "difftest")
-                        .with_arg(arg.clone())
-                })
-                .collect();
-            let batch = engine.process_batch_sharded(
-                &compiled,
-                &shards,
-                &mut db,
-                &mut audit,
-                events,
-                workers,
-            );
-            prop_assert!(batch.error.is_none(), "lenient policy: {:?}", batch.error);
-            prop_assert!(batch.unprocessed.is_empty());
-
-            let outcomes: Vec<Observation> = batch
-                .outcomes
-                .iter()
-                .map(|out| {
-                    (
-                        out.delivered,
-                        out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                    )
-                })
-                .collect();
-            let records: Vec<String> =
-                audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal: Vec<String> = db
-                .drain_journal_ops()
-                .iter()
-                .map(|op| format!("{op:?}"))
-                .collect();
-            prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
-            prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(&journal, &seq_journal, "workers={}", workers);
-            prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
-        }
-    }
-
-    /// Disjoint instance chains of a *single* view family must land in
-    /// distinct per-OID shard groups, and — with random raw bridge links
-    /// welding some chains together — the sharded path must still match
-    /// sequential execution byte-for-byte at every worker count,
-    /// including the journal-op stream.
-    #[test]
-    fn same_view_instance_chains_shard_apart_and_match_sequential(
-        chains in 2usize..5,
-        length in 2usize..5,
-        bridges in proptest::collection::vec((0usize..4, 0usize..4), 0..3),
-        stream in events(),
-    ) {
-        let bp = chain_blueprint();
-        let policy = Policy::default();
-        let compiled = CompiledBlueprint::compile(&bp);
-
-        let (db_probe, _, per_chain) = build_chains(chains, length, &bridges);
-        let effective: Vec<(usize, usize)> = bridges
-            .iter()
-            .map(|&(a, b)| (a % chains, b % chains))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let shards = ShardMap::build(&compiled, &db_probe);
-        if effective.is_empty() {
-            // No bridges: every chain is its own group, and per-view-
-            // component sharding (which keyed on the shared view family)
-            // could never have told them apart.
-            let heads: Vec<_> = per_chain
-                .iter()
-                .map(|chain| shards.group_of(&compiled, &db_probe, chain[0]))
-                .collect();
-            for (ci, chain) in per_chain.iter().enumerate() {
-                for id in chain {
-                    prop_assert_eq!(
-                        shards.group_of(&compiled, &db_probe, *id),
-                        heads[ci],
-                        "chain {} is internally split", ci
-                    );
-                }
-            }
-            let distinct: std::collections::BTreeSet<_> = heads.iter().collect();
-            prop_assert_eq!(distinct.len(), chains);
-        } else {
-            // Bridged chains must share a group.
-            for &(a, b) in &effective {
-                prop_assert_eq!(
-                    shards.group_of(&compiled, &db_probe, per_chain[a][length - 1]),
-                    shards.group_of(&compiled, &db_probe, per_chain[b][0]),
-                    "bridge {}->{} not merged", a, b
-                );
-            }
-        }
-
-        let (mut db_seq, ids, _) = build_chains(chains, length, &bridges);
-        db_seq.attach_journal();
-        let (seq_outcomes, seq_image, seq_records) = run_stream(
-            |engine, db, audit, ev| {
-                let out = engine
-                    .process_compiled(&compiled, db, audit, ev)
-                    .expect("lenient policy");
-                (
-                    out.delivered,
-                    out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                )
-            },
-            &mut db_seq,
-            &ids,
-            &stream,
-            &policy,
-        );
-        let seq_journal: Vec<String> = db_seq
-            .drain_journal_ops()
-            .iter()
-            .map(|op| format!("{op:?}"))
-            .collect();
-
-        for workers in [1usize, 2, 4, 8] {
-            let (mut db, ids, _) = build_chains(chains, length, &bridges);
-            db.attach_journal();
-            let shards = ShardMap::build(&compiled, &db);
-            let mut engine = RuntimeEngine::new(policy.clone());
-            let mut audit = AuditLog::retaining();
-            let events: Vec<QueuedEvent> = stream
-                .iter()
-                .map(|(event_idx, up, target, arg)| {
-                    let dir = if *up { Direction::Up } else { Direction::Down };
-                    let id = ids[target % ids.len()];
-                    QueuedEvent::target(EVENTS[*event_idx], dir, id, "difftest")
-                        .with_arg(arg.clone())
-                })
-                .collect();
-            let batch = engine.process_batch_sharded(
-                &compiled,
-                &shards,
-                &mut db,
-                &mut audit,
-                events,
-                workers,
-            );
-            prop_assert!(batch.error.is_none(), "lenient policy: {:?}", batch.error);
-            prop_assert!(batch.unprocessed.is_empty());
-
-            let outcomes: Vec<Observation> = batch
-                .outcomes
-                .iter()
-                .map(|out| {
-                    (
-                        out.delivered,
-                        out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                    )
-                })
-                .collect();
-            let records: Vec<String> =
-                audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal: Vec<String> = db
-                .drain_journal_ops()
-                .iter()
-                .map(|op| format!("{op:?}"))
-                .collect();
-            prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
-            prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(&journal, &seq_journal, "workers={}", workers);
-            prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
-        }
     }
 }

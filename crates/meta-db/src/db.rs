@@ -1,7 +1,7 @@
 //! The meta-database proper: arena-backed storage of OIDs and Links with the
 //! indices the run-time engine and the query layer need.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::arena::{Arena, ArenaIndex};
 use crate::error::MetaError;
@@ -9,7 +9,7 @@ use crate::intern::{Sym, SymbolTable};
 use crate::journal::{JournalOp, JournalRecorder, MovedEnd};
 use crate::link::{Direction, Link, LinkClass, LinkId, LinkKind};
 use crate::oid::{BlockName, Oid, ViewType};
-use crate::property::{prop_shard, IndexDelta, PropIndex, PropertyMap, Value, PROP_INDEX_SHARDS};
+use crate::property::{PropIndex, PropertyMap, Value};
 
 /// Stable database address of an [`OidEntry`].
 pub type OidId = ArenaIndex<OidEntry>;
@@ -57,31 +57,6 @@ pub struct DbStats {
     pub prop_writes: u64,
 }
 
-/// One overlay property write, ready for batch application — what the
-/// engine's worker lanes log while executing waves against a copy-on-write
-/// overlay (see [`MetaDb::apply_prop_writes_sharded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PropWrite {
-    /// The object written.
-    pub id: OidId,
-    /// The property name.
-    pub prop: String,
-    /// The value written.
-    pub value: Value,
-}
-
-/// One worker lane's property writes: the lane's event runs in ascending
-/// batch order, each run's writes in wave order. The caller guarantees
-/// different lanes touch **disjoint OID sets** (the wave scheduler's shard
-/// invariant) — which is what lets
-/// [`MetaDb::apply_prop_writes_sharded`] apply whole lanes concurrently.
-#[derive(Debug, Default)]
-pub struct LaneWrites {
-    /// `(batch index of the event run, its writes in wave order)`,
-    /// ascending by batch index.
-    pub runs: Vec<(usize, Vec<PropWrite>)>,
-}
-
 /// The DAMOCLES meta-database.
 ///
 /// Stores [`OidEntry`] and [`Link`] objects in generational arenas and keeps
@@ -120,57 +95,12 @@ pub struct MetaDb {
     /// that value`, maintained by [`MetaDb::set_prop`] /
     /// [`MetaDb::remove_prop`] / [`MetaDb::delete_oid`] and rebuilt for free
     /// on recovery because recovery replays those same methods. Powers
-    /// [`MetaDb::where_prop_eq`]. Sharded by property-name hash so the
-    /// batch write path ([`MetaDb::apply_prop_writes_sharded`]) can
-    /// maintain it in parallel.
+    /// [`MetaDb::where_prop_eq`].
     prop_index: PropIndex<OidId>,
     /// Attached journal recorder, if any (see [`MetaDb::attach_journal`]).
     journal: Option<JournalRecorder>,
-    /// Monotonic counter bumped by every mutation that can change which
-    /// OIDs an event wave can reach: link creation/removal, link end
-    /// re-pointing (`move`/`copy` template transfers) and PROPAGATE-set
-    /// growth. Consumers that precompute a partition of the link graph
-    /// (the engine's wave-shard map) cache this stamp and rebuild when it
-    /// moves; see [`MetaDb::topology_stamp`].
-    topo_stamp: u64,
-    /// A bounded log of what each [`MetaDb::topo_stamp`] bump *did* to the
-    /// link graph, one entry per bump (see [`TopoDelta`]). Lets a cached
-    /// reachability partition catch up incrementally via
-    /// [`MetaDb::topology_deltas_since`] instead of rebuilding from every
-    /// live link; truncated at [`TOPO_LOG_CAP`], after which consumers that
-    /// fell too far behind rebuild.
-    topo_log: VecDeque<(u64, TopoDelta)>,
     stats: DbStats,
 }
-
-/// The effect of one topology-stamp bump on event reachability — what a
-/// consumer holding a stale link-graph partition needs in order to update
-/// incrementally (see [`MetaDb::topology_deltas_since`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoDelta {
-    /// Two live OIDs became connected for propagation purposes: a
-    /// PROPAGATE-carrying link was added between them, a link's PROPAGATE
-    /// set first grew, or a link end was re-pointed (the re-point case is
-    /// conservative — the old end stays merged, which can only coarsen a
-    /// partition, never split one incorrectly).
-    Bridge {
-        /// One endpoint.
-        a: OidId,
-        /// The other endpoint.
-        b: OidId,
-    },
-    /// The stamp moved but reachability did not grow (a link with an empty
-    /// PROPAGATE set was added): partitions stay valid as-is.
-    Quiet,
-    /// A link was removed: the partition may have split, which incremental
-    /// union-find cannot express — consumers rebuild.
-    Sever,
-}
-
-/// Bound on [`MetaDb::topo_log`]: generous against any realistic batch
-/// cadence (a consumer normally catches up every drain), tiny against the
-/// database itself.
-const TOPO_LOG_CAP: usize = 4096;
 
 impl MetaDb {
     /// Creates an empty meta-database.
@@ -307,44 +237,6 @@ impl MetaDb {
         self.oids.len()
     }
 
-    /// The link-topology stamp: moves on every mutation that can change
-    /// event reachability (link add/remove, end re-pointing, PROPAGATE
-    /// growth). Equal stamps guarantee an unchanged link graph, so a
-    /// precomputed reachability partition keyed on it is still valid.
-    pub fn topology_stamp(&self) -> u64 {
-        self.topo_stamp
-    }
-
-    /// Bumps the topology stamp and logs what the bump did, keeping the
-    /// log bounded. Every stamp bump routes through here so the log stays
-    /// gap-free — the continuity invariant
-    /// [`MetaDb::topology_deltas_since`] relies on.
-    fn bump_topology(&mut self, delta: TopoDelta) {
-        self.topo_stamp += 1;
-        if self.topo_log.len() == TOPO_LOG_CAP {
-            self.topo_log.pop_front();
-        }
-        self.topo_log.push_back((self.topo_stamp, delta));
-    }
-
-    /// The topology deltas recorded after `stamp`, oldest first — what a
-    /// consumer whose cached partition was built at `stamp` must fold in
-    /// to catch up. Returns `None` when the log no longer reaches back
-    /// that far (the consumer fell more than `TOPO_LOG_CAP` bumps
-    /// behind): rebuild instead.
-    pub fn topology_deltas_since(&self, stamp: u64) -> Option<impl Iterator<Item = &TopoDelta>> {
-        // Complete coverage requires the entry for bump `stamp + 1` to
-        // still be in the log (vacuously true when already caught up).
-        if stamp < self.topo_stamp {
-            match self.topo_log.front() {
-                Some(&(oldest, _)) if oldest <= stamp + 1 => {}
-                _ => return None,
-            }
-        }
-        let skip = self.topo_log.partition_point(|&(s, _)| s <= stamp);
-        Some(self.topo_log.range(skip..).map(|(_, d)| d))
-    }
-
     /// Number of live links.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -433,192 +325,6 @@ impl MetaDb {
         Ok(&self.entry(id)?.props)
     }
 
-    /// Applies a sharded batch's property writes, producing **exactly**
-    /// the journal-op stream, secondary index, counters and storage image
-    /// a serial [`MetaDb::set_prop`] replay in ascending batch order
-    /// would — but in three phases so the bulk of the work parallelizes:
-    ///
-    /// 1. **parallel storage phase** — one thread per lane writes its own
-    ///    OIDs' property maps directly (lanes are shard-disjoint, so
-    ///    [`crate::Arena::partition_mut`] hands each lane exclusive
-    ///    references), collecting each write's displaced value as an
-    ///    [`IndexDelta`] bucketed by property-hash shard and pre-building
-    ///    the lane's [`JournalOp::SetProp`] records per run;
-    /// 2. **parallel index phase** — threads split the secondary index's
-    ///    shard array with `chunks_mut` and fold in the matching delta
-    ///    buckets (lane batches commute within a shard because lanes
-    ///    write disjoint ids);
-    /// 3. **serial ordering phase** — the pre-built journal records are
-    ///    emitted in ascending batch order (cheap `Vec` moves — the only
-    ///    part of write application that is inherently order-dependent)
-    ///    and the write counter moves once.
-    ///
-    /// Falls back to the exact serial replay when parallelism cannot help
-    /// (`workers <= 1`, or fewer than two lanes carry writes) or when any
-    /// target address is stale — the serial path reproduces the
-    /// historical error semantics to the write (partial application up to
-    /// the failing write).
-    ///
-    /// # Errors
-    ///
-    /// `Err((run_index, error))`: the batch index of the run whose write
-    /// failed, with earlier runs' writes (and the failing run's earlier
-    /// writes) applied — mirroring a serial replay that stopped there.
-    pub fn apply_prop_writes_sharded(
-        &mut self,
-        lanes: Vec<LaneWrites>,
-        workers: usize,
-    ) -> Result<(), (usize, MetaError)> {
-        let busy: Vec<LaneWrites> = lanes
-            .into_iter()
-            .filter(|lane| !lane.runs.is_empty())
-            .collect();
-        if workers <= 1 || busy.len() < 2 {
-            return self.apply_prop_writes_serial(busy);
-        }
-        let targets: Vec<Vec<OidId>> = busy
-            .iter()
-            .map(|lane| {
-                lane.runs
-                    .iter()
-                    .flat_map(|(_, writes)| writes.iter().map(|w| w.id))
-                    .collect()
-            })
-            .collect();
-        // A stale address (or a shard-map bug handing two lanes one OID)
-        // falls back to the serial replay, which reproduces the historical
-        // partial-application error semantics exactly.
-        let Some(refs) = self.oids.partition_mut(&targets) else {
-            return self.apply_prop_writes_serial(busy);
-        };
-
-        let journaling = self.journal.is_some();
-        struct LaneApplied {
-            runs: Vec<(usize, Vec<JournalOp>)>,
-            deltas: Vec<Vec<IndexDelta<OidId>>>,
-            writes: u64,
-        }
-        // Phase 1: parallel storage writes, one thread per busy lane.
-        let mut applied: Vec<LaneApplied> = Vec::with_capacity(busy.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .into_iter()
-                .zip(refs)
-                .map(|(lane, mut lane_refs)| {
-                    scope.spawn(move || {
-                        let mut deltas: Vec<Vec<IndexDelta<OidId>>> =
-                            (0..PROP_INDEX_SHARDS).map(|_| Vec::new()).collect();
-                        let mut runs = Vec::with_capacity(lane.runs.len());
-                        let mut writes = 0u64;
-                        for (index, run_writes) in lane.runs {
-                            let mut ops = Vec::new();
-                            if journaling {
-                                ops.reserve(run_writes.len());
-                            }
-                            for w in run_writes {
-                                let entry = lane_refs
-                                    .get_mut(&w.id)
-                                    .expect("partition covers every lane write");
-                                let old = entry.props.set(w.prop.clone(), w.value.clone());
-                                if journaling {
-                                    ops.push(JournalOp::SetProp {
-                                        oid: entry.oid.clone(),
-                                        name: w.prop.clone(),
-                                        value: w.value.clone(),
-                                    });
-                                }
-                                deltas[prop_shard(&w.prop)].push(IndexDelta {
-                                    id: w.id,
-                                    name: w.prop,
-                                    old,
-                                    new: w.value,
-                                });
-                                writes += 1;
-                            }
-                            runs.push((index, ops));
-                        }
-                        LaneApplied {
-                            runs,
-                            deltas,
-                            writes,
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                applied.push(handle.join().expect("write-apply worker panicked"));
-            }
-        });
-
-        // Merge the lanes' delta buckets per index shard, in ascending
-        // lane order (any order is correct — lanes write disjoint ids —
-        // but a fixed order keeps internal map states deterministic).
-        let mut buckets: Vec<Vec<IndexDelta<OidId>>> =
-            (0..PROP_INDEX_SHARDS).map(|_| Vec::new()).collect();
-        let mut total_writes = 0u64;
-        for lane in &mut applied {
-            total_writes += lane.writes;
-            for (bucket, mut produced) in buckets.iter_mut().zip(lane.deltas.drain(..)) {
-                bucket.append(&mut produced);
-            }
-        }
-
-        // Phase 2: parallel index maintenance over disjoint shard chunks.
-        let threads = workers.clamp(1, PROP_INDEX_SHARDS);
-        let chunk = PROP_INDEX_SHARDS.div_ceil(threads);
-        let shards = self.prop_index.shards_mut();
-        std::thread::scope(|scope| {
-            for (shard_chunk, delta_chunk) in
-                shards.chunks_mut(chunk).zip(buckets.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (shard, deltas) in shard_chunk.iter_mut().zip(delta_chunk.iter_mut()) {
-                        for delta in deltas.drain(..) {
-                            shard.apply(delta);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase 3: serial replay of the ordered deltas — journal records
-        // in ascending batch order, then the counters.
-        if journaling {
-            let mut ordered: Vec<(usize, Vec<JournalOp>)> =
-                applied.into_iter().flat_map(|lane| lane.runs).collect();
-            ordered.sort_unstable_by_key(|(index, _)| *index);
-            if let Some(j) = self.journal.as_mut() {
-                for (_, ops) in ordered {
-                    for op in ops {
-                        j.record(op);
-                    }
-                }
-            }
-        }
-        self.stats.prop_writes += total_writes;
-        Ok(())
-    }
-
-    /// The serial fallback (and semantics reference) of
-    /// [`MetaDb::apply_prop_writes_sharded`]: a plain
-    /// [`MetaDb::set_prop`] replay in ascending batch order.
-    fn apply_prop_writes_serial(
-        &mut self,
-        lanes: Vec<LaneWrites>,
-    ) -> Result<(), (usize, MetaError)> {
-        let mut runs: Vec<(usize, Vec<PropWrite>)> =
-            lanes.into_iter().flat_map(|lane| lane.runs).collect();
-        runs.sort_unstable_by_key(|(index, _)| *index);
-        for (index, writes) in runs {
-            for w in writes {
-                if let Err(e) = self.set_prop(w.id, &w.prop, w.value) {
-                    return Err((index, e));
-                }
-            }
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Links
     // ------------------------------------------------------------------
@@ -670,14 +376,6 @@ impl MetaDb {
             link.propagates.insert(event);
         }
         let id = self.links.insert(link);
-        // A link that carries no events cannot change reachability yet;
-        // its first `allow_event` will record the bridge.
-        let delta = if self.links[id].propagates.is_empty() {
-            TopoDelta::Quiet
-        } else {
-            TopoDelta::Bridge { a: from, b: to }
-        };
-        self.bump_topology(delta);
         self.oids
             .get_mut(from)
             .expect("endpoint checked above")
@@ -721,7 +419,6 @@ impl MetaDb {
             .links
             .remove(id)
             .ok_or(MetaError::StaleLink { link: id })?;
-        self.bump_topology(TopoDelta::Sever);
         for end in [link.from, link.to] {
             if let Some(entry) = self.oids.get_mut(end) {
                 entry.links.retain(|&l| l != id);
@@ -750,8 +447,6 @@ impl MetaDb {
         link.propagates_syms.insert(sym);
         let fresh = link.propagates.insert(event.to_string());
         if fresh {
-            let (a, b) = (link.from, link.to);
-            self.bump_topology(TopoDelta::Bridge { a, b });
             if let Some(j) = self.journal.as_mut() {
                 let tag = j.tag_of(id);
                 j.record(JournalOp::AllowEvent {
@@ -919,15 +614,6 @@ impl MetaDb {
         } else {
             return Err(MetaError::StaleLink { link: link_id });
         };
-        // Conservative delta: merge the new end with the surviving end.
-        // The old end stays merged too — a coarser partition is still a
-        // correct partition (waves just share a lane they need not).
-        let other = if moved_end == MovedEnd::From {
-            link.to
-        } else {
-            link.from
-        };
-        self.bump_topology(TopoDelta::Bridge { a: new, b: other });
         if let Some(entry) = self.oids.get_mut(old) {
             entry.links.retain(|&l| l != link_id);
         }
@@ -1453,147 +1139,6 @@ mod tests {
             db.entry(c).unwrap().view_sym()
         );
         assert_eq!(db.view_sym_count(), 2);
-    }
-
-    #[test]
-    fn sharded_apply_matches_serial_replay() {
-        fn seed() -> (MetaDb, Vec<OidId>) {
-            let mut db = MetaDb::new();
-            db.attach_journal();
-            let ids: Vec<OidId> = ["a", "b", "c", "d"]
-                .iter()
-                .map(|b| db.create_oid(Oid::new(*b, "schematic", 1)).unwrap())
-                .collect();
-            db.set_prop(ids[0], "state", Value::from_atom("seed"))
-                .unwrap();
-            db.drain_journal_ops();
-            (db, ids)
-        }
-        fn lanes(ids: &[OidId]) -> Vec<LaneWrites> {
-            let w = |id: OidId, prop: &str, v: &str| PropWrite {
-                id,
-                prop: prop.into(),
-                value: Value::from_atom(v),
-            };
-            vec![
-                LaneWrites {
-                    runs: vec![
-                        (
-                            0,
-                            vec![w(ids[0], "state", "dirty"), w(ids[1], "state", "ok")],
-                        ),
-                        (2, vec![w(ids[0], "state", "clean"), w(ids[0], "drc", "ok")]),
-                    ],
-                },
-                LaneWrites {
-                    runs: vec![
-                        (1, vec![w(ids[2], "state", "ok")]),
-                        (3, vec![w(ids[3], "lvs", "bad"), w(ids[2], "lvs", "bad")]),
-                    ],
-                },
-            ]
-        }
-
-        let (mut parallel, ids) = seed();
-        let (mut serial, ids2) = seed();
-        parallel.apply_prop_writes_sharded(lanes(&ids), 4).unwrap();
-        serial.apply_prop_writes_sharded(lanes(&ids2), 1).unwrap();
-
-        assert_eq!(
-            parallel.drain_journal_ops(),
-            serial.drain_journal_ops(),
-            "journal-op stream is byte-identical (runs in batch order)"
-        );
-        assert_eq!(
-            crate::persist::save(&parallel),
-            crate::persist::save(&serial),
-            "persisted images agree"
-        );
-        assert_eq!(
-            parallel.stats().prop_writes,
-            serial.stats().prop_writes,
-            "write counters agree"
-        );
-        // The sharded path maintained the secondary index in parallel.
-        assert_eq!(
-            parallel.where_prop_eq("lvs", &Value::from_atom("bad")),
-            vec![ids[2], ids[3]]
-        );
-        assert_eq!(
-            parallel.where_prop_eq("state", &Value::from_atom("dirty")),
-            Vec::<OidId>::new(),
-            "displaced values are unindexed"
-        );
-    }
-
-    #[test]
-    fn sharded_apply_stale_target_reports_serial_error_position() {
-        let mut db = MetaDb::new();
-        let a = db.create_oid(Oid::new("a", "v", 1)).unwrap();
-        let b = db.create_oid(Oid::new("b", "v", 1)).unwrap();
-        db.delete_oid(b).unwrap();
-        let w = |id: OidId, prop: &str| PropWrite {
-            id,
-            prop: prop.into(),
-            value: Value::Bool(true),
-        };
-        let lanes = vec![
-            LaneWrites {
-                runs: vec![(0, vec![w(a, "first")])],
-            },
-            LaneWrites {
-                runs: vec![(1, vec![w(b, "stale")])],
-            },
-        ];
-        let (index, err) = db.apply_prop_writes_sharded(lanes, 4).unwrap_err();
-        assert_eq!(index, 1, "the failing run's batch index is reported");
-        assert!(matches!(err, MetaError::StaleOid { .. }));
-        // Serial semantics: writes before the failure landed.
-        assert_eq!(db.props(a).unwrap().get("first"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn topology_delta_log_reports_bumps_and_truncation() {
-        let mut db = MetaDb::new();
-        let a = db.create_oid(Oid::new("a", "v", 1)).unwrap();
-        let b = db.create_oid(Oid::new("b", "v", 1)).unwrap();
-        let before = db.topology_stamp();
-
-        // Plain link: no propagates yet, so shard topology is unchanged.
-        let l = db
-            .add_link(a, b, LinkClass::Derive, LinkKind::DeriveFrom)
-            .unwrap();
-        // First allow_event turns it into a live bridge.
-        db.allow_event(l, "outofdate").unwrap();
-        db.remove_link(l).unwrap();
-
-        let deltas: Vec<TopoDelta> = db
-            .topology_deltas_since(before)
-            .expect("log covers the whole window")
-            .copied()
-            .collect();
-        assert_eq!(
-            deltas,
-            vec![
-                TopoDelta::Quiet,
-                TopoDelta::Bridge { a, b },
-                TopoDelta::Sever
-            ]
-        );
-        // Fully caught up: empty (but present) iterator.
-        let now = db.topology_stamp();
-        assert_eq!(db.topology_deltas_since(now).unwrap().count(), 0);
-
-        // Overflow the bounded log; a too-old stamp now reports `None`
-        // (consumers must rebuild rather than patch incrementally).
-        for _ in 0..3000 {
-            let l = db
-                .add_link_with(a, b, LinkClass::Derive, LinkKind::DeriveFrom, ["e"])
-                .unwrap();
-            db.remove_link(l).unwrap();
-        }
-        assert!(db.topology_deltas_since(before).is_none());
-        assert!(db.topology_deltas_since(db.topology_stamp()).is_some());
     }
 
     #[test]

@@ -66,13 +66,13 @@ pub mod workspace;
 
 pub use arena::{Arena, ArenaIndex};
 pub use config::{Configuration, ConfigurationBuilder, SnapshotRule};
-pub use db::{DbStats, LaneWrites, MetaDb, OidEntry, OidId, PropWrite, TopoDelta};
+pub use db::{DbStats, MetaDb, OidEntry, OidId};
 pub use error::MetaError;
 pub use intern::{Sym, SymSet, SymbolTable};
 pub use journal::{JournalError, JournalOp, JournalWriter, Recovered, RecoveryReport};
 pub use link::{Direction, Link, LinkClass, LinkId, LinkKind};
 pub use oid::{BlockName, Oid, ViewType};
-pub use property::{prop_shard, IndexDelta, PropIndex, PropertyMap, Value, PROP_INDEX_SHARDS};
+pub use property::{PropIndex, PropertyMap, Value};
 pub use query::{ProjectQuery, StateSummary, WorkItem};
 pub use version::VersionHistory;
 pub use wire::{EventMessage, WireDiag, WordCursor};

@@ -11,7 +11,7 @@
 //! accepted as sugar for `post`.
 //!
 //! ```console
-//! $ damocles_server edtc.bp --listen 127.0.0.1:7425 --journal ./dura --wave-workers 4
+//! $ damocles_server edtc.bp --listen 127.0.0.1:7425 --journal ./dura
 //! listening on 127.0.0.1:7425
 //! $ printf 'checkin CPU HDL_model yves 6d6f64756c65\nprocess\n' | nc 127.0.0.1 7425
 //! created CPU,HDL_model,1
@@ -24,10 +24,7 @@
 //! pays one fsync of latency while a burst amortizes one append+fsync
 //! across the whole backlog — a reply in hand always means the effect is
 //! durable. There is no batch-size knob to tune. Each `process` drain
-//! runs sequentially by default; `--wave-workers N` (or the
-//! `DAMOCLES_WAVE_WORKERS` environment variable) opts into sharding it
-//! across `N` wave worker threads, byte-identical to sequential execution
-//! (see `DESIGN.md` §9).
+//! delivers one event at a time (see `DESIGN.md` §9).
 //!
 //! **Follower** (`--follow <leader-addr>`): a read-only replica. It
 //! connects to a journaling leader, bootstraps from the leader's
@@ -69,7 +66,7 @@ use blueprint_core::engine::service::{
 use damocles_tools::remote::{RemoteWrapper, TailHandshake};
 
 const USAGE: &str = "usage: damocles_server <blueprint.bp> [--listen <addr>] \
-                     [--journal <dir>] [--every <ops>] [--wave-workers <n>] \
+                     [--journal <dir>] [--every <ops>] \
                      [--retry <retries,base_ms,mult,timeout_ms>] \
                      [--follow <leader-addr>] [--replay-until <epoch,seq>] \
                      [--fleet <root>] [--engine-workers <n>] [--max-active <m>]";
@@ -80,7 +77,6 @@ fn main() {
     let mut listen = "127.0.0.1:7425".to_string();
     let mut journal_dir: Option<String> = None;
     let mut every: u64 = DEFAULT_CHECKPOINT_EVERY;
-    let mut wave_workers: Option<usize> = None;
     let mut retry: Option<[u64; 4]> = None;
     let mut follow: Option<String> = None;
     let mut replay_until: Option<(u64, u64)> = None;
@@ -103,16 +99,6 @@ fn main() {
                     eprintln!("error: --every needs a number\n{USAGE}");
                     std::process::exit(2);
                 })
-            }
-            "--wave-workers" => {
-                wave_workers = Some(
-                    value_of(&mut args, "--wave-workers")
-                        .parse()
-                        .unwrap_or_else(|_| {
-                            eprintln!("error: --wave-workers needs a number\n{USAGE}");
-                            std::process::exit(2);
-                        }),
-                )
             }
             "--retry" => {
                 let spec = value_of(&mut args, "--retry");
@@ -295,19 +281,6 @@ fn main() {
         }
     }
 
-    // Without the flag the service drains sequentially (or uses
-    // `DAMOCLES_WAVE_WORKERS`); an explicit value always wins.
-    if let Some(workers) = wave_workers {
-        match service.call(Request::SetWaveWorkers {
-            workers: workers.max(1) as u64,
-        }) {
-            Response::Ok => eprintln!("wave sharding across {workers} workers"),
-            other => {
-                eprintln!("error: unexpected waveworkers response {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
     eprintln!("listening on {bound} (adaptive group commit)");
     let (handle, _join) = spawn_project_loop(service);
     if let Err(e) = serve_listener(listener, &handle) {

@@ -180,6 +180,28 @@ fn raw_postevent_lines_work_over_the_wire() {
     }
 }
 
+/// `waveworkers <n>` is a no-op kept for wire compatibility: waves always
+/// drain one event at a time, the request still answers `ok`, and `stat`
+/// keeps reporting one wave worker.
+#[test]
+fn waveworkers_is_an_accepted_no_op() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let addr = spawn_server(edtc_service());
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(b"waveworkers 4\nstat\n").unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "ok");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match Response::decode(line.trim_end()).unwrap() {
+        Response::Stat { stat } => assert_eq!(stat.wave_workers, 1),
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn sessions_see_their_requests_in_order_and_batches_commit_atomically() {
     let dir = std::env::temp_dir().join("damocles-api-protocol-order");

@@ -195,6 +195,164 @@ fn adversarial_cycle_terminates() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Mid-session topology and mid-drain errors
+// ---------------------------------------------------------------------
+
+/// Two link-disjoint view families (`a_*`, `b_*`) under the usual
+/// ckin/outofdate tracking rules.
+const TWO_FAMILIES: &str = r#"
+    blueprint families
+    view default
+        property uptodate default true
+        when ckin do uptodate = true; post outofdate down done
+        when outofdate do uptodate = false done
+    endview
+    view a_src endview
+    view a_der
+        link_from a_src move propagates outofdate type derived
+    endview
+    view b_src endview
+    view b_der
+        link_from b_src move propagates outofdate type derived
+    endview
+    endblueprint
+"#;
+
+/// Builds `n` independent `src → der` chains per family.
+fn populate_families(server: &mut ProjectServer<impl ScriptExecutor>, n: usize) {
+    for fam in ["a", "b"] {
+        for i in 0..n {
+            let block = format!("{fam}{i}");
+            let src = server
+                .checkin(&block, &format!("{fam}_src"), "t", b"s".to_vec())
+                .unwrap();
+            let der = server
+                .checkin(&block, &format!("{fam}_der"), "t", b"d".to_vec())
+                .unwrap();
+            server.connect_oids(&src, &der).unwrap();
+        }
+    }
+}
+
+/// A wrapper tool that, when invoked, relates its origin OID to the
+/// latest `b0,b_src` version with a PROPAGATE-carrying link created
+/// through the raw database API — a link no template describes.
+#[derive(Debug, Default)]
+struct BridgeBuilder;
+
+impl ScriptExecutor for BridgeBuilder {
+    fn execute(
+        &mut self,
+        inv: &damocles::core::engine::exec::ScriptInvocation,
+        ctx: &mut damocles::core::engine::exec::ToolCtx<'_>,
+    ) -> Vec<EventMessage> {
+        let from: Oid = inv.args[0].parse().unwrap();
+        let from = ctx.db.resolve(&from).unwrap();
+        let to = ctx.latest("b0", "b_src").unwrap();
+        ctx.db
+            .add_link_with(
+                from,
+                to,
+                damocles::meta::LinkClass::Derive,
+                damocles::meta::LinkKind::DeriveFrom,
+                ["outofdate"],
+            )
+            .unwrap();
+        Vec::new()
+    }
+}
+
+#[test]
+fn mid_session_raw_link_propagates() {
+    // One extra rule: a `bridge` event makes the tool wire its target
+    // into the B family.
+    let source = TWO_FAMILIES.replace(
+        "view a_der\n        link_from a_src move propagates outofdate type derived\n    endview",
+        "view a_der\n        link_from a_src move propagates outofdate type derived\n        when bridge do exec bridger \"$oid\" done\n    endview",
+    );
+    let bp = parse(&source).unwrap();
+    let mut server = ProjectServer::with_executor(bp, BridgeBuilder).unwrap();
+    populate_families(&mut server, 2);
+    server.process_all().unwrap();
+
+    // Mid-session: the tool bridges a0's derived view into b0's source.
+    server
+        .post_line("postEvent bridge down a0,a_der,1", "t")
+        .unwrap();
+    server.process_all().unwrap();
+
+    // The next drain crosses the bridge: a fresh a0 source version
+    // invalidates b0's source+derived chain too, and nothing else.
+    server.checkin("a0", "a_src", "t", b"v2".to_vec()).unwrap();
+    server.process_all().unwrap();
+    for oid in [
+        Oid::new("a0", "a_der", 1),
+        Oid::new("b0", "b_src", 1),
+        Oid::new("b0", "b_der", 1),
+    ] {
+        assert_eq!(
+            server.prop(&oid, "uptodate").unwrap(),
+            Value::Bool(false),
+            "{oid} must be invalidated through the mid-session link"
+        );
+    }
+    for oid in [Oid::new("a1", "a_der", 1), Oid::new("b1", "b_der", 1)] {
+        assert_eq!(
+            server.prop(&oid, "uptodate").unwrap(),
+            Value::Bool(true),
+            "{oid} is not downstream of the bridge"
+        );
+    }
+}
+
+/// A mid-drain error stops the drain at the erroring event, but the
+/// wrapper invocations of the events before it have already been
+/// dispatched, and the events after it stay queued.
+#[test]
+fn drain_error_still_dispatches_prefix_invocations() {
+    let source = TWO_FAMILIES.replace(
+        "view a_src endview",
+        "view a_src\n        when probe do exec checker \"$oid\" done\n    endview",
+    );
+    let bp = parse(&source).unwrap();
+    let mut server = ProjectServer::with_executor(bp, RecordingExecutor::new()).unwrap();
+    populate_families(&mut server, 2);
+    server.process_all().unwrap();
+    // Strict policy: an event at an unknown view is a hard error.
+    server.policy_mut().unknown_views = damocles::core::engine::policy::Strictness::Reject;
+    server
+        .create_object(Oid::new("ghost", "mystery", 1))
+        .unwrap();
+    // Queue: [exec-producing probe, erroring event, never-reached probe].
+    server
+        .post_line("postEvent probe up a0,a_src,1", "t")
+        .unwrap();
+    server
+        .post_line("postEvent boom up ghost,mystery,1", "t")
+        .unwrap();
+    server
+        .post_line("postEvent probe up a1,a_src,1", "t")
+        .unwrap();
+    let err = server.process_all().unwrap_err();
+    assert!(
+        matches!(err, EngineError::Policy(_)),
+        "expected the policy violation, got {err:?}"
+    );
+    let invoked: Vec<String> = server
+        .executor()
+        .invocations_of("checker")
+        .iter()
+        .map(|i| i.args[0].clone())
+        .collect();
+    assert_eq!(invoked, vec!["a0,a_src,1".to_string()]);
+    assert_eq!(
+        server.pending_events(),
+        1,
+        "the unreached event stays queued"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
