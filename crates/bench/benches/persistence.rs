@@ -11,8 +11,10 @@
 //! * `persist/full_save/{oids}` — `persist::save` + file write + fsync
 //!   (the seed's only durability path).
 //! * `persist/incremental_checkpoint/{oids}` — journal a 16-op dirty set:
-//!   mutate, drain, append, fsync. Same database sizes; near-constant.
-//! * `persist/journal_append/{ops}` — raw buffered append throughput.
+//!   mutate, drain, one `JournalWriter::append_batch`, fsync — the group
+//!   commit the server ships. Same database sizes; near-constant.
+//! * `persist/journal_append/{ops}` — raw buffered `append_batch`
+//!   throughput: each batch encoded once and written with one `write`.
 //! * `persist/recover/{oids}` — `journal::recover` of snapshot + a 64-op
 //!   tail (cold-start latency after a crash).
 //!
@@ -107,9 +109,7 @@ fn bench_incremental_checkpoint(c: &mut Criterion) {
                 }
                 cursor += 1;
                 let ops = db.drain_journal_ops();
-                for op in &ops {
-                    writer.append(op).unwrap();
-                }
+                black_box(writer.append_batch(&ops).unwrap());
                 writer.sync().unwrap();
                 black_box(ops.len())
             });
@@ -134,9 +134,7 @@ fn bench_journal_append(c: &mut Criterion) {
                     db.set_prop(id, "drc", Value::Int(k as i64)).unwrap();
                 }
                 let drained = db.drain_journal_ops();
-                for op in &drained {
-                    writer.append(op).unwrap();
-                }
+                black_box(writer.append_batch(&drained).unwrap());
                 black_box(drained.len())
             });
         });

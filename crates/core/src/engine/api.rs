@@ -71,8 +71,8 @@ impl fmt::Display for SessionId {
 // Requests
 // ---------------------------------------------------------------------
 
-/// Default checkpoint fold interval (ops) for `EnableJournal`/`Recover`
-/// when a front-end lets the user omit it — shared by the shell and the
+/// Default fewest records between checkpoint folds for
+/// `EnableJournal`/`Recover` when a front-end lets the user omit it — shared by the shell and the
 /// `damocles_server` binary so the two front doors fold identically.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
@@ -188,7 +188,8 @@ pub enum Request {
     EnableJournal {
         /// Durability directory (server-side path).
         dir: String,
-        /// Checkpoint fold interval in ops.
+        /// Fewest records between folds; a fold also waits until the
+        /// journal has grown by the snapshot's byte length.
         every: u64,
     },
     /// Fold the journal into a fresh snapshot now.
@@ -197,7 +198,8 @@ pub enum Request {
     Recover {
         /// Durability directory (server-side path).
         dir: String,
-        /// Checkpoint fold interval after recovery.
+        /// Fewest records between folds after recovery (see
+        /// [`Request::EnableJournal`]).
         every: u64,
     },
     /// Persist database + payloads to a file (server-side path).
@@ -279,7 +281,8 @@ pub enum Request {
         /// Durability directory for the promoted node's own journal
         /// (server-side path).
         dir: String,
-        /// Checkpoint fold interval in ops.
+        /// Fewest records between folds; a fold also waits until the
+        /// journal has grown by the snapshot's byte length.
         every: u64,
         /// The new leadership term; must strictly exceed every term this
         /// node has observed.

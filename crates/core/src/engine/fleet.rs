@@ -49,12 +49,14 @@
 //! service from the shared compiled blueprint and either recovers
 //! `snapshot + journal` (warm disk state) or enables a fresh journal
 //! (first activation). Eviction only flushes the group-commit buffer:
-//! a cold project is `snapshot.ddb` + a durable journal tail of fewer
-//! than `checkpoint_every` records — the same files a crash right after
-//! that flush would leave. Recovery replays the tail and *continues*
-//! the journal in place (same epoch, next sequence number, resumed link
-//! tags), so an LRU cycle writes nothing that is already durable and
-//! checkpoints happen at the `checkpoint_every` cadence only. An
+//! a cold project is `snapshot.ddb` + a durable journal tail with no
+//! fold due (fewer than `checkpoint_every` records, or smaller than the
+//! snapshot) — the same files a crash right after that flush would
+//! leave. Recovery replays the tail and *continues* the journal in
+//! place (same epoch, next sequence number, resumed link tags, record
+//! count and byte length), so an LRU cycle writes nothing that is
+//! already durable and a checkpoint happens only once the journal
+//! outgrows both bounds. An
 //! evict/reactivate cycle is byte-identical to a server that never
 //! evicted (proven in `tests/fleet.rs`).
 //!
@@ -103,8 +105,9 @@ pub struct FleetConfig {
     /// Ceiling on simultaneously pinned (resident or evicting) projects;
     /// beyond it the least-recently-used resident is evicted.
     pub max_active: usize,
-    /// `checkpoint_every` handed to each project's journal (fold the
-    /// journal into a snapshot every this many records).
+    /// `checkpoint_every` handed to each project's journal: the fewest
+    /// records between folds (a fold also waits until the journal has
+    /// grown by its snapshot's byte length).
     pub checkpoint_every: u64,
     /// Requests parked per project while it waits for a slot or an
     /// eviction to finish; past it the router answers
@@ -1150,9 +1153,10 @@ where
 }
 
 /// Flushes the group-commit buffer — leaving the cold form
-/// (`snapshot.ddb` + a durable tail shorter than `checkpoint_every`) on
-/// disk, exactly what a crash after that flush would leave — then drops
-/// the service. The next activation continues the journal in place.
+/// (`snapshot.ddb` + a durable tail with no fold due) on disk, exactly
+/// what a crash after that flush would leave — then drops the service.
+/// The next activation continues the journal in place, its fold budget
+/// included.
 fn retire<E>(mut svc: ProjectService<E>, shared: &FleetShared)
 where
     E: ScriptExecutor + Default,

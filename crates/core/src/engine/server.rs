@@ -73,13 +73,38 @@ struct Durability {
     epoch: u64,
     /// Leadership term the journal is written under (see `fence_term`).
     term: u64,
-    /// Fold the journal into a fresh snapshot after this many appended ops.
+    /// Fold only once the journal holds at least this many records.
     checkpoint_every: u64,
-    ops_since_checkpoint: u64,
+    /// ...and at least this many bytes: its length right after the
+    /// checkpoint it extends (header plus re-seeded work records) plus
+    /// that checkpoint's snapshot. A fold rewrites the whole image, so
+    /// folding no sooner costs at most one written byte per journaled
+    /// byte however large the image is, and recovery replays at most
+    /// about one snapshot's worth of journal.
+    fold_bytes: u64,
     /// Set when the database was swapped wholesale (`adopt_project`): the
     /// journal on disk no longer describes the in-memory state, so the next
     /// sync point must checkpoint before appending anything.
     force_checkpoint: bool,
+}
+
+impl Durability {
+    /// Appends `ops` with one write and one fsync; returns their record
+    /// lines for the tail stream. No I/O at all for an empty batch.
+    fn commit(&mut self, ops: &[JournalOp]) -> Result<Vec<String>, std::io::Error> {
+        if ops.is_empty() {
+            return Ok(Vec::new());
+        }
+        let lines = self.writer.append_batch(ops)?;
+        self.writer.sync()?;
+        Ok(lines)
+    }
+
+    /// Whether the journal has outgrown its checkpoint (see `fold_bytes`).
+    fn fold_due(&self) -> bool {
+        self.writer.record_count() >= self.checkpoint_every
+            && self.writer.byte_len() >= self.fold_bytes
+    }
 }
 
 fn journal_io(e: std::io::Error) -> EngineError {
@@ -469,9 +494,11 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// Turns on durability: writes an initial checkpoint (snapshot +
     /// fresh journal) under `dir`, attaches a journal recorder to the
     /// database, and from then on appends every mutation's op record at
-    /// each server operation boundary, folding the journal into a fresh
-    /// snapshot every `checkpoint_every` ops (and on
-    /// [`ProjectServer::checkpoint`]). Returns the checkpoint epoch.
+    /// each server operation boundary. The journal folds into a fresh
+    /// snapshot once it holds at least `checkpoint_every` records **and**
+    /// has grown by at least the snapshot's byte length since its
+    /// checkpoint, and at once on [`ProjectServer::checkpoint`]. Returns
+    /// the checkpoint epoch.
     ///
     /// The durability cost between checkpoints scales with the mutation
     /// rate, not the database size — the point of the journal over plain
@@ -551,6 +578,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.db.attach_journal();
         self.journal_poisoned = false;
         self.term = term;
+        let fold_bytes = writer.byte_len() + image.len() as u64;
         self.tail.publish_enable(epoch, term, image);
         self.durability = Some(Durability {
             dir,
@@ -558,7 +586,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             epoch,
             term,
             checkpoint_every: checkpoint_every.max(1),
-            ops_since_checkpoint: 0,
+            fold_bytes,
             force_checkpoint: false,
         });
         // Events queued before this enable predate the journal: stamp them
@@ -792,12 +820,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 Err(e) => {
                     // The snapshot may have landed at the new epoch while the
                     // journal did not reset; continuing to append would write
-                    // ops recovery must ignore. Disable durability loudly —
-                    // recorder included, or the db would buffer ops forever.
-                    self.durability = None;
-                    self.db.detach_journal();
-                    self.journal_poisoned = true;
-                    self.tail.publish_disable();
+                    // ops recovery must ignore. Disable durability loudly.
+                    self.poison_journal();
                     return Err(e);
                 }
             };
@@ -816,37 +840,23 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         let d = self.durability.as_mut().expect("checked above");
         d.writer = writer;
         d.epoch = epoch;
-        d.ops_since_checkpoint = 0;
         d.force_checkpoint = false;
-        let reseed = |d: &mut Durability| -> Result<(), std::io::Error> {
-            for op in &carried {
-                d.writer.append(op)?;
+        let lines = match d.commit(&carried) {
+            Ok(lines) => lines,
+            Err(e) => {
+                self.poison_journal();
+                return Err(EngineError::Journal {
+                    reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
+                });
             }
-            if !carried.is_empty() {
-                d.writer.sync()?;
-            }
-            Ok(())
         };
-        if let Err(e) = reseed(d) {
-            self.durability = None;
-            self.db.detach_journal();
-            self.journal_poisoned = true;
-            self.tail.publish_disable();
-            return Err(EngineError::Journal {
-                reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
-            });
-        }
+        d.fold_bytes = d.writer.byte_len() + image.len() as u64;
         // Re-tag links in image order so tail ops and the snapshot agree.
         self.db.attach_journal();
         self.tail
             .publish_checkpoint(epoch, term, image, dropped_ops == 0 && !adopted);
-        if !carried.is_empty() {
-            self.tail.publish_records(
-                carried
-                    .iter()
-                    .enumerate()
-                    .map(|(i, op)| journal::encode_record(i as u64, op).trim_end().to_string()),
-            );
+        if !lines.is_empty() {
+            self.tail.publish_records(lines);
         }
         Ok(epoch)
     }
@@ -858,8 +868,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     ///
     /// A journal whose header matches the snapshot's `(epoch, term)` and
     /// whose tail is clean is **continued**: reopened for append at its
-    /// next sequence number, with link tags, the fold counter and the
-    /// pending work resumed from the replay — nothing already durable is
+    /// next sequence number, with link tags, the fold budget (the file's
+    /// record count and byte length) and the pending work resumed from
+    /// the replay — nothing already durable is
     /// written again, and the epoch does not move. A stale, torn or
     /// missing journal is **folded** instead: the recovered state becomes
     /// a fresh checkpoint at the next epoch under the recovered term.
@@ -910,13 +921,17 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 .map_err(journal_io)?;
                 self.db.attach_journal_resumed(&tags, next_tag);
                 self.journal_poisoned = false;
+                // Which leading records a fold re-seeded is not on disk,
+                // so the whole file counts as growth: a continued journal
+                // folds at most one re-seed's worth of bytes early.
+                let header = journal::encode_header(report.epoch, report.term);
                 self.durability = Some(Durability {
                     dir,
                     writer,
                     epoch: report.epoch,
                     term: report.term,
                     checkpoint_every: checkpoint_every.max(1),
-                    ops_since_checkpoint: seq,
+                    fold_bytes: (header.len() + snapshot.len()) as u64,
                     force_checkpoint: false,
                 });
                 self.publish_on_disk(report.epoch, report.term, snapshot, &journal_bytes);
@@ -1037,6 +1052,16 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.group_commit
     }
 
+    /// Disables durability after a failed journal write: the recorder is
+    /// detached (or the database would buffer ops forever), the poison
+    /// marker is set, and tail subscribers see the stream end.
+    fn poison_journal(&mut self) {
+        self.durability = None;
+        self.db.detach_journal();
+        self.journal_poisoned = true;
+        self.tail.publish_disable();
+    }
+
     /// Takes (and clears) the poison marker: `true` when a journal
     /// failure disabled durability since the last call. Distinct from
     /// "journaling is off" — a fresh or deliberately un-journaled server
@@ -1046,8 +1071,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         std::mem::take(&mut self.journal_poisoned)
     }
 
-    /// Appends all buffered journal ops and syncs once; folds into a
-    /// checkpoint when the policy says so. No-op without durability.
+    /// Appends all buffered journal ops with one write and one fsync;
+    /// folds into a checkpoint once the journal has outgrown it (see
+    /// [`ProjectServer::enable_journal`]). No-op without durability.
     ///
     /// Failure semantics: an append/sync error **disables durability**
     /// (poison) and surfaces the error. The drained ops cannot be retried —
@@ -1080,50 +1106,27 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             self.checkpoint()?;
         }
         let ops = self.db.drain_journal_ops();
+        if ops.is_empty() {
+            return Ok(());
+        }
         let d = self.durability.as_mut().expect("checked above");
-        let base_seq = d.writer.record_count();
-        let appended = {
-            let write_all = |d: &mut Durability| -> Result<u64, std::io::Error> {
-                let mut appended = 0u64;
-                for op in ops.iter() {
-                    d.writer.append(op)?;
-                    appended += 1;
-                }
-                if appended > 0 {
-                    d.writer.sync()?;
-                }
-                Ok(appended)
-            };
-            match write_all(d) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.durability = None;
-                    self.db.detach_journal();
-                    self.journal_poisoned = true;
-                    self.tail.publish_disable();
-                    return Err(EngineError::Journal {
-                        reason: format!("journal append failed, durability disabled: {e}"),
-                    });
-                }
+        let lines = match d.commit(&ops) {
+            Ok(lines) => lines,
+            Err(e) => {
+                self.poison_journal();
+                return Err(EngineError::Journal {
+                    reason: format!("journal append failed, durability disabled: {e}"),
+                });
             }
         };
-        if appended > 0 {
-            // Publish to tail subscribers strictly AFTER the fsync: a
-            // record a follower ever sees is on the leader's stable
-            // storage, so replication can never run ahead of durability.
-            self.tail
-                .publish_records(ops.iter().enumerate().map(|(i, op)| {
-                    journal::encode_record(base_seq + i as u64, op)
-                        .trim_end()
-                        .to_string()
-                }));
-        }
-        if appended > 0 {
-            let d = self.durability.as_mut().expect("checked above");
-            d.ops_since_checkpoint += appended;
-            if d.ops_since_checkpoint >= d.checkpoint_every {
-                self.checkpoint()?;
-            }
+        let fold = d.fold_due();
+        // Publish to tail subscribers strictly AFTER the fsync: a record a
+        // follower ever sees is on the leader's stable storage, so
+        // replication can never run ahead of durability. The lines are
+        // the very bytes the file holds, encoded once.
+        self.tail.publish_records(lines);
+        if fold {
+            self.checkpoint()?;
         }
         Ok(())
     }
@@ -2155,6 +2158,125 @@ mod tests {
         let mut fresh = ProjectServer::from_source(SIMPLE).unwrap();
         fresh.recover_journal(&dir, 8).unwrap();
         assert_eq!(damocles_meta::persist::save(fresh.db()), image);
+    }
+
+    /// A large image under small ops: past `every` records the journal is
+    /// still not folded while it is smaller than its snapshot; the first
+    /// flush that makes it at least that large folds; an explicit
+    /// `checkpoint` folds at once, whatever the journal holds.
+    #[test]
+    fn checkpoint_policy_waits_for_the_journal_to_outgrow_its_snapshot() {
+        const EVERY: u64 = 4;
+        let dir = temp_dir("fold-bytes");
+        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+        for i in 0..16 {
+            server
+                .checkin(&format!("big{i}"), "HDL_model", "yves", vec![b'x'; 1024])
+                .unwrap();
+        }
+        server.process_all().unwrap();
+        let epoch0 = server.enable_journal(&dir, EVERY).unwrap();
+        let file_len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        let snapshot_len = file_len(SNAPSHOT_FILE);
+        let header_len = journal::encode_header(epoch0, server.current_term()).len() as u64;
+        assert!(snapshot_len > 16 * 2048, "payloads are in the image");
+
+        server.set_group_commit(true).unwrap();
+        let mut held_past_every = 0;
+        for i in 0.. {
+            server
+                .create_object(Oid::new(format!("small{i}"), "HDL_model", 1))
+                .unwrap();
+            // The bytes this flush appends: the buffered ops, encoded at
+            // the sequence numbers they will take.
+            let records = server.journal_records().unwrap();
+            let ops = server.db.drain_journal_ops();
+            let appended: u64 = (records..)
+                .zip(&ops)
+                .map(|(seq, op)| journal::encode_record(seq, op).len() as u64)
+                .sum();
+            let after = file_len(JOURNAL_FILE) + appended;
+            let after_records = records + ops.len() as u64;
+            for op in ops {
+                server.db.record_extra(op);
+            }
+            server.flush_journal().unwrap();
+            let outgrown = after - header_len >= snapshot_len;
+            let folded = server.journal_epoch() != Some(epoch0);
+            assert_eq!(
+                folded, outgrown,
+                "flush {i}: {after_records} records, {after} B journal, {snapshot_len} B snapshot"
+            );
+            if folded {
+                break;
+            }
+            assert_eq!(file_len(JOURNAL_FILE), after);
+            if after_records >= EVERY {
+                held_past_every += 1;
+            }
+        }
+        assert!(
+            held_past_every > 0,
+            "the byte bound held a fold past `every`"
+        );
+        // Nothing was queued or in flight: the fresh journal is empty.
+        assert_eq!(server.journal_records(), Some(0));
+
+        // An explicit checkpoint folds at once, far below both bounds.
+        server
+            .create_object(Oid::new("tiny", "HDL_model", 1))
+            .unwrap();
+        server.flush_journal().unwrap();
+        let epoch = server.journal_epoch().unwrap();
+        assert!(server.journal_records().unwrap() < EVERY);
+        assert_eq!(server.checkpoint().unwrap(), epoch + 1);
+        assert_eq!(server.journal_records(), Some(0));
+        let image = damocles_meta::persist::save(server.db());
+        let mut fresh = ProjectServer::from_source(SIMPLE).unwrap();
+        fresh.recover_journal(&dir, EVERY).unwrap();
+        assert_eq!(damocles_meta::persist::save(fresh.db()), image);
+    }
+
+    /// Work records a fold re-seeds belong to the checkpoint, not to the
+    /// journal's growth: a queued backlog larger than the snapshot does
+    /// not make every later flush fold again.
+    #[test]
+    fn carried_backlog_does_not_count_toward_the_next_fold() {
+        let dir = temp_dir("fold-backlog");
+        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+        // A snapshot larger than a few small ops, smaller than the backlog.
+        server
+            .checkin("cpu", "HDL_model", "yves", vec![b'x'; 1024])
+            .unwrap();
+        server.process_all().unwrap();
+        let epoch0 = server.enable_journal(&dir, 1).unwrap();
+        server.set_group_commit(true).unwrap();
+        for i in 0..64 {
+            server
+                .post_line(
+                    &format!("postEvent hdl_sim up cpu,HDL_model,1 \"run {i}\""),
+                    "t",
+                )
+                .unwrap();
+        }
+        server.flush_journal().unwrap();
+        // The backlog outgrew the snapshot: one fold, which carried all
+        // 64 queued events into the fresh journal.
+        assert_eq!(server.journal_epoch(), Some(epoch0 + 1));
+        assert_eq!(server.journal_records(), Some(64));
+        let snapshot_len = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+        let journal_len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        assert!(
+            journal_len > snapshot_len,
+            "{journal_len} B vs {snapshot_len} B"
+        );
+        for i in 0..3 {
+            server
+                .create_object(Oid::new(format!("blk{i}"), "HDL_model", 1))
+                .unwrap();
+            server.flush_journal().unwrap();
+            assert_eq!(server.journal_epoch(), Some(epoch0 + 1), "flush {i} folded");
+        }
     }
 
     #[test]

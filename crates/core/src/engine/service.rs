@@ -1382,7 +1382,8 @@ mod tests {
         assert!(matches!(
             svc.call(Request::EnableJournal {
                 dir: dir.display().to_string(),
-                every: 1, // every flush folds into a checkpoint
+                // The first flush outgrows the near-empty snapshot: it folds.
+                every: 1,
             }),
             Response::Epoch { .. }
         ));

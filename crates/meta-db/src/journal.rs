@@ -15,7 +15,8 @@
 //!   file opens with a versioned header carrying the checkpoint *epoch* it
 //!   extends, and each record line carries a sequence number and an FNV-1a
 //!   checksum, so a torn tail (the crash case) is detected and cleanly
-//!   ignored.
+//!   ignored. [`JournalWriter::append_batch`] encodes a group commit once,
+//!   writes it with one `write`, and returns the lines for replication.
 //! * [`recover`] — loads `snapshot + journal tail` and replays the tail
 //!   **through the normal [`MetaDb`] API**, so invariants (interned event
 //!   bitsets, version chains, the property index, link incidence) are
@@ -685,9 +686,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// assert_eq!(decode_record(line.trim_end(), 7), Ok(op));
 /// ```
 pub fn encode_record(seq: u64, op: &JournalOp) -> String {
-    let body = op.encode();
-    let payload = format!("{seq} {body}");
-    format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()))
+    let mut line = record_line(seq, op);
+    line.push('\n');
+    line
+}
+
+/// One record line without its newline: the form the journal file holds
+/// (newline-terminated) and the tail stream carries (newline-stripped).
+fn record_line(seq: u64, op: &JournalOp) -> String {
+    let payload = format!("{seq} {}", op.encode());
+    format!("{:016x} {payload}", fnv1a(payload.as_bytes()))
 }
 
 /// Renders the journal header line for `epoch` under leadership `term`
@@ -880,6 +888,10 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalTail, JournalError> {
 /// ([`JournalWriter::open_append`], from [`Recovered::append_at`]). A
 /// stale or torn journal is never appended to: recovery folds it into a
 /// checkpoint instead.
+///
+/// The writer counts the records and bytes of its file, so a continued
+/// journal resumes both where the previous process left them — the
+/// inputs of the server's fold policy.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -887,6 +899,7 @@ pub struct JournalWriter {
     epoch: u64,
     term: u64,
     seq: u64,
+    bytes: u64,
 }
 
 impl JournalWriter {
@@ -900,7 +913,8 @@ impl JournalWriter {
         let path = path.as_ref().to_path_buf();
         let tmp = tmp_sibling(&path);
         let mut file = File::create(&tmp)?;
-        file.write_all(encode_header(epoch, term).as_bytes())?;
+        let header = encode_header(epoch, term);
+        file.write_all(header.as_bytes())?;
         file.sync_all()?;
         fs::rename(&tmp, &path)?;
         sync_parent_dir(&path)?;
@@ -910,6 +924,7 @@ impl JournalWriter {
             epoch,
             term,
             seq: 0,
+            bytes: header.len() as u64,
         })
     }
 
@@ -937,26 +952,60 @@ impl JournalWriter {
         let path = path.as_ref().to_path_buf();
         let file = fs::OpenOptions::new().append(true).open(&path)?;
         file.sync_data()?;
+        let bytes = file.metadata()?.len();
         Ok(JournalWriter {
             file,
             path,
             epoch,
             term,
             seq,
+            bytes,
         })
     }
 
-    /// Appends one op record, returning its sequence number. Buffered by
-    /// the OS until [`JournalWriter::sync`].
+    /// Appends `ops` as consecutive records — each encoded once, all of
+    /// them written with a single `write` — and returns their record lines
+    /// (no trailing newline) in sequence order: exactly the bytes the file
+    /// now holds, ready for the tail stream. Buffered by the OS until
+    /// [`JournalWriter::sync`].
+    ///
+    /// ```
+    /// use damocles_meta::journal::{decode_record, JournalOp, JournalWriter};
+    /// use damocles_meta::Oid;
+    ///
+    /// let path = std::env::temp_dir().join(format!("doc-append-{}.djl", std::process::id()));
+    /// let mut writer = JournalWriter::create(&path, 1, 1).unwrap();
+    /// let ops = [
+    ///     JournalOp::CreateOid { oid: Oid::new("cpu", "schematic", 1) },
+    ///     JournalOp::DeleteOid { oid: Oid::new("cpu", "schematic", 1) },
+    /// ];
+    /// let lines = writer.append_batch(&ops).unwrap();
+    /// assert_eq!(writer.record_count(), 2);
+    /// assert_eq!(decode_record(&lines[1], 1), Ok(ops[1].clone()));
+    /// let file = std::fs::read_to_string(&path).unwrap();
+    /// assert!(file.ends_with(&format!("{}\n{}\n", lines[0], lines[1])));
+    /// assert_eq!(writer.byte_len(), file.len() as u64);
+    /// # std::fs::remove_file(&path).unwrap();
+    /// ```
     ///
     /// # Errors
     ///
-    /// File-system errors.
-    pub fn append(&mut self, op: &JournalOp) -> Result<u64, std::io::Error> {
-        let seq = self.seq;
-        self.file.write_all(encode_record(seq, op).as_bytes())?;
-        self.seq += 1;
-        Ok(seq)
+    /// File-system errors. The write may have landed partially; the
+    /// caller must not append after a failure (the counts do not move).
+    pub fn append_batch(&mut self, ops: &[JournalOp]) -> Result<Vec<String>, std::io::Error> {
+        let lines: Vec<String> = (self.seq..)
+            .zip(ops)
+            .map(|(seq, op)| record_line(seq, op))
+            .collect();
+        let mut buf = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in &lines {
+            buf.extend_from_slice(line.as_bytes());
+            buf.push(b'\n');
+        }
+        self.file.write_all(&buf)?;
+        self.seq += lines.len() as u64;
+        self.bytes += buf.len() as u64;
+        Ok(lines)
     }
 
     /// Forces appended records to stable storage.
@@ -971,6 +1020,11 @@ impl JournalWriter {
     /// Records appended so far (== the next sequence number).
     pub fn record_count(&self) -> u64 {
         self.seq
+    }
+
+    /// The file's length in bytes: its header plus every record so far.
+    pub fn byte_len(&self) -> u64 {
+        self.bytes
     }
 
     /// The epoch in this journal's header.

@@ -8,7 +8,9 @@
 
 use proptest::prelude::*;
 
-use damocles_meta::journal::{self, encode_header, encode_record, JournalOp};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use damocles_meta::journal::{self, encode_header, encode_record, JournalOp, JournalWriter};
 use damocles_meta::persist;
 use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid, OidId, Value, Workspace};
 
@@ -350,34 +352,45 @@ proptest! {
         prop_assert_eq!(recovered.report.stale_journal, term != 1);
     }
 
-    /// Group commit (ISSUE 3): ops land in multi-record batches with one
-    /// sync per batch. A crash before a batch's first byte reaches the
-    /// file must recover the exact image of the previous batch boundary
-    /// (no torn tail); a crash inside the batch's write still recovers a
-    /// valid record prefix extending that boundary.
+    /// Group commit: ops land in multi-record batches, each written by
+    /// the real `JournalWriter::append_batch` (one `write`) and synced
+    /// once. A crash before a batch's first byte reaches the file must
+    /// recover the exact image of the previous batch boundary (no torn
+    /// tail); a crash at **any** byte inside the last batch's write still
+    /// recovers a valid record prefix extending that boundary.
     #[test]
     fn group_committed_batches_recover_at_batch_boundaries(
         batches in proptest::collection::vec(cmds(), 1..4)
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "damocles-crash-batches-{}-{}.djl",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
         let mut db = MetaDb::new();
         db.attach_journal();
         let epoch = 2;
         let snapshot = journal::write_snapshot(&MetaDb::new(), &Workspace::new("w"), epoch, 1);
-        let mut bytes = encode_header(epoch, 1).into_bytes();
-        let mut seq = 0u64;
-        // Byte length of the journal and the database image at each
-        // flushed batch boundary.
-        let mut boundary_images = vec![(bytes.len(), persist::save(&MetaDb::new()))];
+        let mut writer = JournalWriter::create(&path, epoch, 1).expect("journal created");
+        // Byte length and record count of the journal, and the database
+        // image, at each flushed batch boundary.
+        let mut boundaries = vec![(writer.byte_len() as usize, 0, persist::save(&MetaDb::new()))];
+        let mut ops = Vec::new();
         for (i, batch) in batches.iter().enumerate() {
             apply_cmds(&mut db, batch, i as u32 * 7);
-            for op in db.drain_journal_ops() {
-                bytes.extend_from_slice(encode_record(seq, &op).as_bytes());
-                seq += 1;
-            }
-            boundary_images.push((bytes.len(), persist::save(&db)));
+            let drained = db.drain_journal_ops();
+            writer.append_batch(&drained).expect("batch appended");
+            writer.sync().expect("batch synced");
+            ops.extend(drained);
+            boundaries.push((writer.byte_len() as usize, ops.len(), persist::save(&db)));
         }
+        let bytes = std::fs::read(&path).expect("journal read back");
+        std::fs::remove_file(&path).expect("journal removed");
+        prop_assert_eq!(bytes.len(), boundaries[boundaries.len() - 1].0);
+        prop_assert_eq!(&journal::parse_journal(&bytes).expect("full journal parses").ops, &ops);
 
-        for (cut, image) in &boundary_images {
+        for (cut, _, image) in &boundaries {
             // Crash between batch execution and the batched fsync: the
             // file simply ends at the previous boundary.
             let recovered = journal::recover(&snapshot, &bytes[..*cut])
@@ -385,19 +398,23 @@ proptest! {
             prop_assert!(recovered.report.torn_tail.is_none());
             prop_assert_eq!(&persist::save(&recovered.db), image);
         }
-        // Crash mid-way through writing the final batch: a valid record
-        // prefix that extends the second-to-last boundary.
-        let (last_boundary, _) = boundary_images[boundary_images.len() - 1];
-        let (prev_boundary, _) = boundary_images[boundary_images.len() - 2];
-        if last_boundary > prev_boundary {
-            let cut = prev_boundary + (last_boundary - prev_boundary) / 2;
+        // Crash at every byte of the final batch's write: each cut
+        // recovers a valid record prefix between the two boundaries.
+        let (prev_cut, prev_ops, _) = &boundaries[boundaries.len() - 2];
+        let prefix_images: Vec<String> = (*prev_ops..=ops.len())
+            .map(|n| persist::save(&journal::replay_ops(&ops[..n]).expect("prefix replays").0))
+            .collect();
+        for cut in *prev_cut..=bytes.len() {
             let recovered = journal::recover(&snapshot, &bytes[..cut])
                 .expect("mid-batch truncation recovers");
-            let tail = journal::parse_journal(&bytes).expect("full journal parses");
-            let (prefix_db, _ws) =
-                journal::replay_ops(&tail.ops[..recovered.report.replayed_ops])
-                    .expect("prefix replays");
-            prop_assert_eq!(persist::save(&recovered.db), persist::save(&prefix_db));
+            let replayed = recovered.report.replayed_ops;
+            prop_assert!((*prev_ops..=ops.len()).contains(&replayed), "cut {}", cut);
+            prop_assert_eq!(
+                &persist::save(&recovered.db),
+                &prefix_images[replayed - prev_ops],
+                "cut {}",
+                cut
+            );
         }
     }
 }

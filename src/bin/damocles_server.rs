@@ -249,7 +249,7 @@ fn main() {
             every,
         }) {
             Response::Epoch { epoch } => {
-                eprintln!("journaling to {dir} (epoch {epoch}, checkpoint every {every} ops)");
+                eprintln!("journaling to {dir} (epoch {epoch}, checkpoint once past {every} records and the snapshot's size)");
             }
             Response::Error(e) => {
                 eprintln!("error: {e}");

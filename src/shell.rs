@@ -501,7 +501,7 @@ fn render(shown: &Presented, response: Response) -> ShellOutput {
             out.trim_end().to_string()
         }
         (Presented::Journal { dir, every }, Response::Epoch { epoch }) => {
-            format!("journaling to {dir} (epoch {epoch}, checkpoint every {every} ops)")
+            format!("journaling to {dir} (epoch {epoch}, checkpoint once past {every} records and the snapshot's size)")
         }
         (_, Response::Epoch { epoch }) => format!("checkpoint written (epoch {epoch})"),
         (_, Response::Promoted { epoch, term }) => {

@@ -18,8 +18,9 @@ fn journaled_session_survives_crash_and_keeps_tracking() {
     let dir = temp_dir("crash");
     let image_before;
     {
-        // Session 1: a tracked design flow with durability on, checkpoint
-        // every 32 ops so the run crosses several fold points.
+        // Session 1: a tracked design flow with durability on, folding
+        // past 32 records once the journal outgrows its snapshot, so the
+        // run crosses fold points.
         let mut server = ProjectServer::from_source(damocles::flows::EDTC_SOURCE).unwrap();
         server.enable_journal(&dir, 32).unwrap();
         for v in 0..5 {

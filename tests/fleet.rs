@@ -189,18 +189,19 @@ fn eviction_cycle_is_byte_identical_to_a_dedicated_server() {
     }
 }
 
-/// Two tenants alternate through ONE residency slot for more than
-/// `checkpoint_every` cycles, so every request evicts the other tenant
-/// and re-activates its own. Eviction only flushes and activation
-/// continues the journal: each tenant's journal stays below
-/// `checkpoint_every` records (in `stat` and on disk while cold), it
-/// keeps growing across evict/activate cycles, and the epoch advances
-/// only when the journal reaches the fold cadence.
+/// Two tenants alternate through ONE residency slot, so every request
+/// evicts the other tenant and re-activates its own. Eviction only
+/// flushes and activation continues the journal in place, record count
+/// and byte length alike. So a tenant's journal, resident or cold, never
+/// holds a fold that is due: it stays below `checkpoint_every` records
+/// or smaller than its snapshot. It keeps growing across evict/activate
+/// cycles, and the epoch advances only on the cycle whose flush makes
+/// the journal outgrow both bounds, never once per cycle.
 #[test]
 fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
     let root = temp_dir("cadence");
     const EVERY: u64 = 16;
-    const CYCLES: usize = 24;
+    const CYCLES: usize = 48;
     let config = FleetConfig {
         engine_workers: 1,
         max_active: 1,
@@ -220,16 +221,37 @@ fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
             session
         })
         .collect();
-    let position = |session: &FleetSession| match session.call(Request::Stat) {
-        Response::Stat { stat } => (
-            stat.journal_epoch.expect("journaling on"),
-            stat.journal_records.expect("journaling on"),
-        ),
+    let records_in_stat = |session: &FleetSession| match session.call(Request::Stat) {
+        Response::Stat { stat } => stat.journal_records.expect("journaling on"),
         other => panic!("{other:?}"),
     };
+    // A tenant's durable state: (epoch, records, journal bytes past
+    // its header, snapshot bytes).
+    let on_disk = |name: &str| {
+        let dir = root.join(name);
+        let snapshot = std::fs::read_to_string(dir.join("snapshot.ddb")).unwrap();
+        let bytes = std::fs::read(dir.join("journal.djl")).unwrap();
+        let tail = journal::parse_journal(&bytes).unwrap();
+        assert!(tail.torn.is_none());
+        let epoch = journal::snapshot_epoch(&snapshot);
+        assert_eq!(
+            tail.epoch,
+            Some(epoch),
+            "{name}: journal extends its snapshot"
+        );
+        let header = journal::encode_header(epoch, journal::snapshot_term(&snapshot));
+        let records = tail.ops.len() as u64;
+        let grown = (bytes.len() - header.len()) as u64;
+        assert!(
+            records < EVERY || grown < snapshot.len() as u64,
+            "{name}: {records} records, {grown} B journal vs {} B snapshot: a fold was due",
+            snapshot.len()
+        );
+        (epoch, records, grown, snapshot.len() as u64)
+    };
 
-    // Per tenant: the (epoch, records) cursor after each cycle.
-    let mut seen: Vec<Vec<(u64, u64)>> = vec![Vec::new(); tenants.len()];
+    // Per tenant: the on-disk cursor after each cycle.
+    let mut seen: Vec<Vec<(u64, u64, u64, u64)>> = vec![Vec::new(); tenants.len()];
     for cycle in 0..CYCLES {
         for (t, session) in sessions.iter().enumerate() {
             let block = format!("B{t}");
@@ -237,26 +259,14 @@ fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
                 let resp = session.call(request);
                 assert!(!resp.is_error(), "{} cycle {cycle}: {resp:?}", tenants[t]);
             }
-            let (epoch, records) = position(session);
-            assert!(
-                records < EVERY,
-                "{} journal at {records} records",
-                tenants[t]
-            );
-            seen[t].push((epoch, records));
-
+            // Resident: flushed, so `stat` and the files agree.
+            let cursor = on_disk(tenants[t]);
+            assert_eq!(records_in_stat(session), cursor.1);
+            seen[t].push(cursor);
             // The other tenant was just evicted: its cold form is its
-            // snapshot plus a clean tail below the cadence, at the
-            // snapshot's epoch.
-            let other = root.join(tenants[1 - t]);
-            if other.join("snapshot.ddb").exists() {
-                let snapshot = std::fs::read_to_string(other.join("snapshot.ddb")).unwrap();
-                let tail =
-                    journal::parse_journal(&std::fs::read(other.join("journal.djl")).unwrap())
-                        .unwrap();
-                assert!(tail.torn.is_none());
-                assert_eq!(tail.epoch, Some(journal::snapshot_epoch(&snapshot)));
-                assert!((tail.ops.len() as u64) < EVERY);
+            // snapshot plus a clean tail with no fold due.
+            if root.join(tenants[1 - t]).join("snapshot.ddb").exists() {
+                on_disk(tenants[1 - t]);
             }
         }
     }
@@ -267,26 +277,24 @@ fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
 
     for (t, cursors) in seen.iter().enumerate() {
         let name = tenants[t];
-        // The largest number of records one cycle appends.
-        let step = cursors
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0)
-            .map(|w| w[1].1 - w[0].1)
-            .max()
-            .expect("some cycles stay within one epoch");
+        // The most records and bytes one cycle appends.
+        let within: Vec<_> = cursors.windows(2).filter(|w| w[0].0 == w[1].0).collect();
+        let step = within.iter().map(|w| w[1].1 - w[0].1).max().unwrap();
+        let step_bytes = within.iter().map(|w| w[1].2 - w[0].2).max().unwrap();
         let mut folds = 0;
         for w in cursors.windows(2) {
-            let ((e0, r0), (e1, r1)) = (w[0], w[1]);
+            let ((e0, r0, b0, snap0), (e1, r1, b1, _)) = (w[0], w[1]);
             if e1 == e0 {
                 assert!(
-                    r1 > r0,
-                    "{name}: journal shrank within epoch {e0} ({r0} -> {r1})"
+                    r1 > r0 && b1 > b0,
+                    "{name}: journal shrank within epoch {e0} ({r0} -> {r1} records)"
                 );
             } else {
                 assert_eq!(e1, e0 + 1, "{name}: epoch jumped {e0} -> {e1}");
                 assert!(
-                    r0 + step >= EVERY,
-                    "{name}: folded at {r0} records, short of the cadence {EVERY}"
+                    r0 + step >= EVERY && b0 + step_bytes >= snap0,
+                    "{name}: folded at {r0} records / {b0} B, short of \
+                     {EVERY} records / the {snap0} B snapshot"
                 );
                 folds += 1;
             }
@@ -296,10 +304,14 @@ fn lru_cycle_folds_only_at_the_checkpoint_cadence() {
         assert_eq!(last - first, folds);
         assert!(
             folds > 0,
-            "{name}: {CYCLES} cycles never reached the cadence"
+            "{name}: {CYCLES} cycles never outgrew the snapshot"
         );
         assert!(
-            folds < CYCLES as u64 / 2,
+            cursors.iter().any(|c| c.1 >= EVERY),
+            "{name}: the byte bound never held a fold past {EVERY} records"
+        );
+        assert!(
+            folds < CYCLES as u64 / 4,
             "{name}: {folds} folds in {CYCLES} cycles — the LRU cycle is folding"
         );
     }

@@ -11,6 +11,7 @@ use damocles::core::engine::follower::{spawn_follower_loop, FollowerHandle, Foll
 use damocles::core::engine::service::{
     serve_listener, serve_with, spawn_project_loop, ProjectService,
 };
+use damocles::core::engine::tail::{TailCursor, TailFrame};
 use damocles::prelude::*;
 use damocles::tools::remote::{RemoteWrapper, TailHandshake};
 
@@ -351,4 +352,89 @@ fn unbootstrapped_follower_reports_lagging() {
         }
         other => panic!("{other:?}"),
     }
+}
+
+/// The record lines the tail hub streams are the journal file's own
+/// lines, byte for byte: each record is encoded once and the same string
+/// goes to disk and to the wire. Checked across several group-commit
+/// flushes, one fold the byte rule triggers, the carried work that fold
+/// re-seeds the fresh journal with, and the flushes after it.
+#[test]
+fn streamed_records_are_the_journal_file_lines() {
+    let dir = std::env::temp_dir().join("damocles-repl-tail-equals-file");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+    // An image several flushes' worth of journal large.
+    for i in 0..4 {
+        server
+            .checkin(&format!("big{i}"), "HDL_model", "yves", vec![b'x'; 256])
+            .unwrap();
+    }
+    server.process_all().unwrap();
+    let epoch0 = server.enable_journal(&dir, 2).unwrap();
+    server.set_group_commit(true).unwrap();
+    let hub = server.tail_hub();
+    let mut cursor = TailCursor {
+        epoch: epoch0,
+        seq: 0,
+    };
+    // The current epoch's streamed record lines.
+    let mut streamed: Vec<String> = Vec::new();
+    let drain = |streamed: &mut Vec<String>, cursor: &mut TailCursor| loop {
+        match hub.next_frames(cursor, Duration::from_millis(1)).unwrap()[..] {
+            [TailFrame::Ping] => return,
+            ref frames => {
+                for frame in frames {
+                    match frame {
+                        TailFrame::Record { line, .. } => streamed.push(line.clone()),
+                        TailFrame::Reset { .. } | TailFrame::Epoch { .. } => streamed.clear(),
+                        TailFrame::Ping => {}
+                    }
+                }
+            }
+        }
+    };
+    let file_lines = || {
+        let text = std::fs::read_to_string(dir.join("journal.djl")).unwrap();
+        assert!(text.ends_with('\n'), "the file ends on a whole record");
+        // Split on the newline alone: a stray byte (a `\r`, say) must
+        // show up as a difference.
+        text.split_terminator('\n')
+            .skip(1)
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+
+    // Check-ins left queued: each flush journals a few records, and
+    // their `evq` records are the work a fold must carry over.
+    let mut flushes = 0;
+    while server.journal_epoch() == Some(epoch0) {
+        server
+            .checkin(&format!("blk{flushes}"), "HDL_model", "yves", b"v".to_vec())
+            .unwrap();
+        server.flush_journal().unwrap();
+        flushes += 1;
+        drain(&mut streamed, &mut cursor);
+        if server.journal_epoch() == Some(epoch0) {
+            assert!(!streamed.is_empty());
+            assert_eq!(streamed, file_lines(), "flush {flushes}");
+        }
+    }
+    assert!(
+        flushes > 2,
+        "the fold waited for the journal to outgrow its snapshot"
+    );
+    // The fold re-seeded the queued work into the fresh journal.
+    assert_eq!(server.journal_epoch(), Some(epoch0 + 1));
+    assert_eq!(server.pending_events(), flushes);
+    assert_eq!(server.journal_records(), Some(flushes as u64));
+    assert_eq!(cursor.epoch, epoch0 + 1);
+    assert_eq!(streamed, file_lines(), "re-seeded records");
+
+    // Draining the carried work journals its completion after them.
+    server.process_all().unwrap();
+    server.flush_journal().unwrap();
+    drain(&mut streamed, &mut cursor);
+    assert!(streamed.len() > flushes);
+    assert_eq!(streamed, file_lines(), "after the drain");
 }
