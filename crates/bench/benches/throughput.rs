@@ -11,13 +11,19 @@
 //! Series (burst = 128 pipelined `checkin` requests per iteration, each
 //! creating an OID, applying templates and journaling its payload):
 //!
-//! * `throughput/checkin_fsync_per_op/128` — command loop with
-//!   `max_batch = 1`: every request pays its own fsync (the PR 2
-//!   behaviour).
-//! * `throughput/checkin_group_commit_16/128` — `max_batch = 16`.
-//! * `throughput/checkin_group_commit_64/128` — `max_batch = 64`.
-//! * `throughput/checkin_no_journal/128` — durability off: the engine +
-//!   protocol ceiling the group commit converges towards.
+//! * `throughput/checkin_fsync_per_op/128` — a fixed window of 1: every
+//!   request pays its own fsync (the PR 2 behaviour).
+//! * `throughput/checkin_group_commit_16/128` — a fixed window of 16.
+//! * `throughput/checkin_group_commit_64/128` — a fixed window of 64.
+//! * `throughput/checkin_group_commit_adaptive/128` — the command loop,
+//!   whose window is the pipelined backlog at batch formation.
+//! * `throughput/checkin_no_journal/128` — the command loop with
+//!   durability off: the engine + protocol ceiling the group commit
+//!   converges towards.
+//!
+//! A fixed window drives a group-commit [`ProjectService`] in the bench
+//! thread: `window` calls, then one flush (one append+fsync). It pays the
+//! command loop's execution and journal cost but not its channel hops.
 //!
 //! Acceptance (ISSUE 3): group commit at batch ≥ 16 sustains ≥ 5× the
 //! durable event throughput of fsync-per-op.
@@ -32,9 +38,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use blueprint_core::engine::api::{Request, Response};
 use blueprint_core::engine::server::ProjectServer;
-use blueprint_core::engine::service::{
-    spawn_project_loop, spawn_project_loop_with_window, ClientSession, ProjectService,
-};
+use blueprint_core::engine::service::{spawn_project_loop, ClientSession, ProjectService};
 use damocles_meta::{persist, MetaDb, Workspace};
 
 /// Pipelined requests per measured iteration.
@@ -62,9 +66,8 @@ fn empty_image_path() -> std::path::PathBuf {
     path
 }
 
-/// Spawns a command loop over an EDTC service, optionally journaled.
-/// `max_batch = None` uses the adaptive (production) window.
-fn spawn(tag: &str, journaled: bool, max_batch: Option<usize>) -> ClientSession {
+/// An EDTC service, optionally journaled.
+fn service(tag: &str, journaled: bool) -> ProjectService {
     let mut service = edtc_service();
     if journaled {
         let dir = bench_dir(tag);
@@ -76,42 +79,64 @@ fn spawn(tag: &str, journaled: bool, max_batch: Option<usize>) -> ClientSession 
         });
         assert!(matches!(resp, Response::Epoch { .. }), "{resp:?}");
     }
-    let (handle, _join) = match max_batch {
-        Some(n) => spawn_project_loop_with_window(service, Some(n)),
-        None => spawn_project_loop(service),
-    };
-    handle.session()
+    service
 }
 
-/// One measured iteration: reset to the empty project (identical cost in
-/// every series), then pipeline BURST check-ins and drain every reply —
-/// each reply implies the request is journaled+fsynced when durability
-/// is on.
-fn burst(session: &ClientSession, reset: &str) -> usize {
-    match session.call(Request::LoadProject {
+fn reset_request(reset: &str) -> Request {
+    Request::LoadProject {
         path: reset.to_string(),
-    }) {
-        Response::Loaded { .. } => {}
-        other => panic!("reset failed: {other:?}"),
     }
-    let pending: Vec<_> = (0..BURST)
-        .map(|n| {
-            session.submit(Request::Checkin {
-                block: format!("b{n}"),
-                view: "HDL_model".to_string(),
-                user: "bench".to_string(),
-                payload: b"module m;".to_vec(),
-            })
-        })
-        .collect();
-    let mut created = 0usize;
-    for rx in pending {
-        match rx.recv() {
-            Some(Response::Created { .. }) => created += 1,
-            other => panic!("unexpected reply {other:?}"),
+}
+
+fn checkin(n: usize) -> Request {
+    Request::Checkin {
+        block: format!("b{n}"),
+        view: "HDL_model".to_string(),
+        user: "bench".to_string(),
+        payload: b"module m;".to_vec(),
+    }
+}
+
+fn loaded(resp: Response) {
+    assert!(
+        matches!(resp, Response::Loaded { .. }),
+        "reset failed: {resp:?}"
+    );
+}
+
+fn created(resp: Response) -> usize {
+    assert!(
+        matches!(resp, Response::Created { .. }),
+        "unexpected reply {resp:?}"
+    );
+    1
+}
+
+/// One measured iteration through the command loop: reset to the empty
+/// project (identical cost in every series), then pipeline BURST
+/// check-ins and drain every reply — each reply implies the request is
+/// journaled+fsynced when durability is on.
+fn burst(session: &ClientSession, reset: &str) -> usize {
+    loaded(session.call(reset_request(reset)));
+    let pending: Vec<_> = (0..BURST).map(|n| session.submit(checkin(n))).collect();
+    pending
+        .into_iter()
+        .map(|rx| created(rx.recv().expect("the loop replies")))
+        .sum()
+}
+
+/// One measured iteration at a fixed window: the same reset, then BURST
+/// check-ins with one flush after every `window` of them.
+fn burst_windowed(service: &mut ProjectService, window: usize, reset: &str) -> usize {
+    loaded(service.call(reset_request(reset)));
+    let mut total = 0;
+    for n in 0..BURST {
+        total += created(service.call(checkin(n)));
+        if (n + 1) % window == 0 || n + 1 == BURST {
+            service.flush().expect("the window flushes");
         }
     }
-    created
+    total
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -120,17 +145,29 @@ fn bench_throughput(c: &mut Criterion) {
     let reset = empty_image_path();
     let reset = reset.display().to_string();
 
-    let configs: &[(&str, bool, Option<usize>)] = &[
-        ("checkin_fsync_per_op", true, Some(1)),
-        ("checkin_group_commit_16", true, Some(16)),
-        ("checkin_group_commit_64", true, Some(64)),
-        // The production default: no knob, window derived from the
-        // pipelined backlog at batch formation.
-        ("checkin_group_commit_adaptive", true, None),
-        ("checkin_no_journal", false, None),
+    let windows: &[(&str, usize)] = &[
+        ("checkin_fsync_per_op", 1),
+        ("checkin_group_commit_16", 16),
+        ("checkin_group_commit_64", 64),
     ];
-    for &(name, journaled, max_batch) in configs {
-        let session = spawn(name, journaled, max_batch);
+    for &(name, window) in windows {
+        let mut service = service(name, true);
+        service
+            .set_group_commit(true)
+            .expect("group commit turns on");
+        group.bench_with_input(BenchmarkId::new(name, BURST), &(), |b, ()| {
+            b.iter(|| black_box(burst_windowed(&mut service, window, &reset)));
+        });
+    }
+    // The production default: no knob, the window is the pipelined
+    // backlog at batch formation.
+    let looped: &[(&str, bool)] = &[
+        ("checkin_group_commit_adaptive", true),
+        ("checkin_no_journal", false),
+    ];
+    for &(name, journaled) in looped {
+        let (handle, _join) = spawn_project_loop(service(name, journaled));
+        let session = handle.session();
         group.bench_with_input(BenchmarkId::new(name, BURST), &(), |b, ()| {
             b.iter(|| black_box(burst(&session, &reset)));
         });

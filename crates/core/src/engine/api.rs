@@ -38,18 +38,146 @@
 //! processed 2 3 1 0
 //! ```
 //!
+//! A line is its keyword, then each field's words in declaration order.
+//! [`Request`], [`Response`] and [`ApiError`] are each declared once, as a
+//! table: a variant names its keyword (`Checkin = "checkin"`) and each
+//! field the grammar element its parse errors report (`block: String ["a
+//! block name"]`). The table generates the enum and its codec, so adding
+//! a wire form is one table entry. A field's type picks its codec: one
+//! word for strings, numbers, OIDs, values, `0`/`1` flags and hex
+//! payloads, `-`/`+<word>` for an `Option`, a count and then the items
+//! for a `Vec`.
+//!
 //! Decoding failures are themselves structured: [`ApiError::Parse`] names
 //! the byte offset, the offending token and the expected grammar element.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use damocles_meta::persist::{decode_hex, decode_value, encode_hex, encode_value};
-use damocles_meta::{EventMessage, MetaError, Oid, Value};
-use serde::{Deserialize, Serialize};
+use damocles_meta::{Direction, EventMessage, MetaError, Oid, Value};
 
 use crate::engine::error::EngineError;
 use crate::engine::policy::PolicyViolation;
 use crate::engine::server::ProcessReport;
+
+// ---------------------------------------------------------------------
+// Wire tables
+// ---------------------------------------------------------------------
+
+/// Declares a protocol enum once: the type, its wire keywords and its
+/// field codecs. A variant reads `Name = "keyword"`, followed by a `{
+/// field: Type [expected…] }` body, a `(Type)` body or nothing. The
+/// `[expected…]` strings name the grammar element(s) the field's parse
+/// errors report; `field: Type as Codec […]` reads the field with
+/// `Codec` instead of the type's own [`Wire`] codec. The header's string
+/// names the keyword itself, and the function after `else` builds the
+/// error for an unknown one.
+///
+/// The enum gets private `put_words`/`take_words` codecs and is a [`Wire`]
+/// field itself, which is how `err <kind> …` nests the [`ApiError`] table
+/// in [`Response::Error`]. The `struct` form declares a record: its fields
+/// back to back, with no keyword.
+macro_rules! wire_enum {
+    // Binds a `(Type)` variant's field to `$i`: the pattern repeats once
+    // per `$t`, and a repetition must mention a metavariable.
+    (@bind $t:ty, $i:ident) => { $i };
+    // The field's codec: its own type, or the one named after `as`.
+    (@codec $t:ty) => { $t };
+    (@codec $t:ty, $codec:ty) => { $codec };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident: $what:literal else $unknown:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $word:literal
+                $(($inner:ty))?
+                $({$(
+                    $(#[$fmeta:meta])*
+                    $field:ident: $fty:ty $(as $codec:ty)? [$($ex:literal),*]
+                ),* $(,)?})?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(($inner))? $({$($(#[$fmeta])* $field: $fty),*})?,
+            )*
+        }
+
+        impl $name {
+            fn put_words(&self, out: &mut String) {
+                match self {
+                    $(
+                        Self::$variant $((wire_enum!(@bind $inner, inner)))? $({$($field),*})? => {
+                            out.push_str($word);
+                            $(<$inner as Wire>::put(inner, out);)?
+                            $($(
+                                <wire_enum!(@codec $fty $(, $codec)?) as Wire<$fty>>::put($field, out);
+                            )*)?
+                        }
+                    )*
+                }
+            }
+
+            fn take_words(c: &mut Cursor<'_>) -> Result<Self, ApiError> {
+                let (at, word) = c.next_word($what)?;
+                Ok(match word {
+                    $(
+                        $word => Self::$variant
+                            $((<$inner as Wire>::take(c, &[])?))?
+                            $({$(
+                                $field: <wire_enum!(@codec $fty $(, $codec)?) as Wire<$fty>>::take(
+                                    c,
+                                    &[$($ex),*],
+                                )?,
+                            )*})?,
+                    )*
+                    other => return Err($unknown(at as u64, other, $what)),
+                })
+            }
+        }
+
+        impl Wire for $name {
+            fn put(v: &Self, out: &mut String) {
+                out.push(' ');
+                v.put_words(out);
+            }
+
+            fn take(c: &mut Cursor<'_>, _: &[&str]) -> Result<Self, ApiError> {
+                Self::take_words(c)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident: $fty:ty [$($ex:literal),*]
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty),*
+        }
+
+        impl Wire for $name {
+            fn put(v: &Self, out: &mut String) {
+                $(<$fty as Wire>::put(&v.$field, out);)*
+            }
+
+            fn take(c: &mut Cursor<'_>, _: &[&str]) -> Result<Self, ApiError> {
+                Ok($name {
+                    $($field: <$fty as Wire>::take(c, &[$($ex),*])?,)*
+                })
+            }
+        }
+    };
+}
 
 // ---------------------------------------------------------------------
 // Sessions
@@ -58,7 +186,7 @@ use crate::engine::server::ProcessReport;
 /// Identifies one client session at the command loop. Tagged onto every
 /// queued request so the loop can serialize many concurrent clients onto
 /// the single engine while keeping replies routable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
 
 impl fmt::Display for SessionId {
@@ -76,272 +204,279 @@ impl fmt::Display for SessionId {
 /// `damocles_server` binary so the two front doors fold identically.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
-/// One typed command to a project server — the union of every operation a
-/// client (shell, wrapper program, replica, test harness) can ask for.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Request {
-    /// Load a blueprint from source text, creating the project server.
-    Init {
-        /// Blueprint source (the client reads the file; the server never
-        /// touches client-side paths).
-        source: String,
-    },
-    /// Replace the blueprint, keeping database/workspace/queue (§3.2).
-    Reinit {
-        /// New blueprint source.
-        source: String,
-    },
-    /// Check design data in: next version OID, templates, `ckin` event.
-    Checkin {
-        /// Block name.
-        block: String,
-        /// View type.
-        view: String,
-        /// The designer checking in.
-        user: String,
-        /// Opaque design data.
-        payload: Vec<u8>,
-    },
-    /// Reserve a `(block, view)` chain for a user.
-    Checkout {
-        /// Block name.
-        block: String,
-        /// View type.
-        view: String,
-        /// The designer checking out.
-        user: String,
-    },
-    /// Create a bare OID (no payload, no `ckin` event).
-    CreateObject {
-        /// The triplet to create.
-        oid: Oid,
-    },
-    /// Relate two OIDs, template-filling the link annotation.
-    Connect {
-        /// Source end.
-        from: Oid,
-        /// Destination end.
-        to: Oid,
-    },
-    /// Queue a design-event message (§3.1). Under journaling the ack
-    /// means *durably accepted*: the event is journaled as accepted work
-    /// before the reply, and recovery re-enqueues accepted events whose
-    /// processing never committed (at-least-once replay).
-    Post {
-        /// The event message.
-        message: EventMessage,
-        /// The posting user or wrapper.
-        user: String,
-    },
-    /// Drain the event queue: every queued event executes and every
-    /// already-finished detached tool invocation is absorbed. Detached
-    /// invocations still running when the drain returns post their
-    /// results back through later pumps ([`Request::PumpInvocations`],
-    /// issued automatically by the command loop while idle) — the loop
-    /// is never parked behind a slow tool.
-    ProcessAll,
-    /// Re-evaluate every continuous assignment (deferred `let`s).
-    RefreshLets,
-    /// Run a `qlang` query.
-    Query {
-        /// Query terms, e.g. `view=schematic stale.uptodate latest`.
-        terms: String,
-    },
-    /// Properties of one OID.
-    Show {
-        /// The triplet to show.
-        oid: Oid,
-    },
-    /// What still blocks `oid` from reaching a planned state.
-    WorkLeft {
-        /// The target OID.
-        oid: Oid,
-        /// The state property.
-        prop: String,
-    },
-    /// Per-view aggregate of a state property.
-    Summary {
-        /// The state property.
-        prop: String,
-    },
-    /// Pin the dependency closure of `root` as a named Configuration.
-    Snapshot {
-        /// Configuration name.
-        name: String,
-        /// Root OID of the closure.
-        root: Oid,
-    },
-    /// List stored configurations.
-    ListSnapshots,
-    /// Forbid check-ins to a view.
-    Freeze {
-        /// The view to freeze.
-        view: String,
-    },
-    /// Re-allow check-ins to a view.
-    Thaw {
-        /// The view to thaw.
-        view: String,
-    },
-    /// Enable op-journal durability under a directory.
-    EnableJournal {
-        /// Durability directory (server-side path).
-        dir: String,
-        /// Fewest records between folds; a fold also waits until the
-        /// journal has grown by the snapshot's byte length.
-        every: u64,
-    },
-    /// Fold the journal into a fresh snapshot now.
-    Checkpoint,
-    /// Restore the project from `snapshot + journal tail`.
-    Recover {
-        /// Durability directory (server-side path).
-        dir: String,
-        /// Fewest records between folds after recovery (see
-        /// [`Request::EnableJournal`]).
-        every: u64,
-    },
-    /// Persist database + payloads to a file (server-side path).
-    SaveProject {
-        /// Destination file.
-        path: String,
-    },
-    /// Restore database + payloads from a file (server-side path).
-    LoadProject {
-        /// Source file.
-        path: String,
-    },
-    /// Full textual database dump.
-    Dump,
-    /// Graphviz dump of the live design state.
-    Dot,
-    /// Engine audit counters.
-    Audit,
-    /// Server statistics (database size, queue depth, journal state).
-    Stat,
-    /// A no-op kept for wire compatibility: waves always drain one event
-    /// at a time, so the worker count is ignored and the reply is `ok`.
-    SetWaveWorkers {
-        /// Ignored.
-        workers: u64,
-    },
-    /// Set the retry policy for detached tool invocations: how many times
-    /// a failed attempt is retried, the exponential backoff between
-    /// attempts, and the per-attempt wall-clock budget. With `script:
-    /// None` this sets the default policy; with `Some(name)` it overrides
-    /// the policy for that script only. Survives `Init` server swaps,
-    /// like group-commit mode.
-    SetRetryPolicy {
-        /// The script (tool) the policy applies to; `None` = the default
-        /// policy for scripts without an override.
-        script: Option<String>,
-        /// Retries after the first failed attempt (`0` = one attempt
-        /// only).
-        max_retries: u64,
-        /// Delay before the first retry, in milliseconds.
-        base_delay_ms: u64,
-        /// Backoff multiplier: retry *n* waits `base_delay ·
-        /// multiplier^(n-1)`.
-        multiplier: u64,
-        /// Per-attempt wall-clock budget in milliseconds; an attempt
-        /// finishing later counts as failed.
-        timeout_ms: u64,
-    },
-    /// Absorb finished detached invocations and run one non-blocking
-    /// queue drain. The command loop issues this to itself when the
-    /// worker pool signals finished work, so results flow back between
-    /// client commands; clients may also send it to poll.
-    PumpInvocations,
-    /// Replication handshake: stream committed journal records from
-    /// `(epoch, seq)` on. Requires journaling on the receiving server.
-    ///
-    /// Over a streaming transport (the TCP front door) the
-    /// [`Response::Tailing`] reply is followed by tail frames
-    /// ([`TailFrame`](crate::engine::tail::TailFrame) lines) until the
-    /// client disconnects; a brand-new follower sends `(0, 0)` and is
-    /// bootstrapped with a snapshot. See `PROTOCOL.md` §5.
-    TailFrom {
-        /// The checkpoint epoch the follower is at.
-        epoch: u64,
-        /// The next record sequence number the follower expects.
-        seq: u64,
-    },
-    /// Promote a caught-up follower into a leader under a new fencing
-    /// term: enable a local journal at the replica's cursor (its epoch
-    /// strictly exceeds the consumed one), open the node's own tail hub
-    /// under `term`, and start accepting mutations. Refused with
-    /// [`ApiError::StaleTerm`] when `term` does not exceed the highest
-    /// term the node has seen, and with [`ApiError::Lagging`] before the
-    /// first bootstrap. On a node that is already a leader the request is
-    /// [`ApiError::StaleTerm`] unless `term` beats its current term —
-    /// re-promoting a live leader to a higher term is a legal no-op-ish
-    /// re-journal. See `PROTOCOL.md` §7 and `DESIGN.md` §13.
-    Promote {
-        /// Durability directory for the promoted node's own journal
-        /// (server-side path).
-        dir: String,
-        /// Fewest records between folds; a fold also waits until the
-        /// journal has grown by the snapshot's byte length.
-        every: u64,
-        /// The new leadership term; must strictly exceed every term this
-        /// node has observed.
-        term: u64,
-    },
-    /// Fence this node out of leadership term `term`: a barrier that
-    /// flushes the group-commit window, then terminally disables the
-    /// node's durability and refuses every later mutation with
-    /// [`ApiError::StaleTerm`]. Sent to a deposed (revived) leader so it
-    /// can never dual-commit against the reign that replaced it. Refused
-    /// with [`ApiError::StaleTerm`] when `term` does not exceed the
-    /// node's current term (a stale fencer cannot depose a newer reign).
-    Fence {
-        /// The newer term doing the fencing.
-        term: u64,
-    },
-    /// Deterministic time-travel replay: rebuild the image the server had
-    /// at journal cursor `(epoch, seq)` — the snapshot of `epoch` plus the
-    /// first `seq` journal records — in a scratch database, leaving the
-    /// live server untouched. Requires journaling; only the current epoch
-    /// is addressable (earlier snapshots are folded away by checkpoints).
-    /// The reply carries the reconstructed image so "journal dir +
-    /// cursor" is a complete bug report. See `PROTOCOL.md` §6.
-    Replay {
-        /// The checkpoint epoch to replay within.
-        epoch: u64,
-        /// Journal records to replay on top of the snapshot (`0` = the
-        /// snapshot alone).
-        seq: u64,
-    },
-    /// Control execution tracing ([`TraceLog`](crate::engine::trace::TraceLog)):
-    /// turn per-wave step retention on or off, or drain the records
-    /// captured since the last get. Retention is off by default and costs
-    /// nothing when off.
-    Trace {
-        /// What to do with the trace log.
-        mode: TraceMode,
-    },
-    /// Attach this session to a fleet project: subsequent requests on the
-    /// session route to that tenant's engine (see
-    /// [`fleet`](crate::engine::fleet)). Wire form `project <name>`, with
-    /// a trailing `new` to register the project on first attach. A
-    /// single-project node answers [`ApiError::NoFleet`].
-    Attach {
-        /// The project (tenant) name — one path component under the fleet
-        /// root, no separators.
-        project: String,
-        /// Register the project if it does not exist yet; without it an
-        /// unknown name answers [`ApiError::NoSuchProject`].
-        create: bool,
-    },
-    /// List the fleet's registered projects and whether each is currently
-    /// activated in memory. Wire form `projects`; a single-project node
-    /// answers [`ApiError::NoFleet`].
-    ListProjects,
+wire_enum! {
+    /// One typed command to a project server — the union of every operation a
+    /// client (shell, wrapper program, replica, test harness) can ask for.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum Request: "a request keyword" else unknown_command {
+        /// Load a blueprint from source text, creating the project server.
+        Init = "init" {
+            /// Blueprint source (the client reads the file; the server never
+            /// touches client-side paths).
+            source: String ["the blueprint source (escaped)"],
+        },
+        /// Replace the blueprint, keeping database/workspace/queue (§3.2).
+        Reinit = "reinit" {
+            /// New blueprint source.
+            source: String ["the blueprint source (escaped)"],
+        },
+        /// Check design data in: next version OID, templates, `ckin` event.
+        Checkin = "checkin" {
+            /// Block name.
+            block: String ["a block name"],
+            /// View type.
+            view: String ["a view type"],
+            /// The designer checking in.
+            user: String ["a user name"],
+            /// Opaque design data.
+            payload: Vec<u8> ["a hex payload or `-`"],
+        },
+        /// Reserve a `(block, view)` chain for a user.
+        Checkout = "checkout" {
+            /// Block name.
+            block: String ["a block name"],
+            /// View type.
+            view: String ["a view type"],
+            /// The designer checking out.
+            user: String ["a user name"],
+        },
+        /// Create a bare OID (no payload, no `ckin` event).
+        CreateObject = "create" {
+            /// The triplet to create.
+            oid: Oid ["an OID `block,view,version`"],
+        },
+        /// Relate two OIDs, template-filling the link annotation.
+        Connect = "connect" {
+            /// Source end.
+            from: Oid ["a source OID"],
+            /// Destination end.
+            to: Oid ["a destination OID"],
+        },
+        /// Queue a design-event message (§3.1). Under journaling the ack
+        /// means *durably accepted*: the event is journaled as accepted work
+        /// before the reply, and recovery re-enqueues accepted events whose
+        /// processing never committed (at-least-once replay).
+        Post = "post" {
+            /// The posting user or wrapper.
+            user: String ["a user name"],
+            /// The event message.
+            message: EventMessage [
+                "an event name",
+                "a direction (`up` or `down`)",
+                "a target OID",
+                "an argument"
+            ],
+        },
+        /// Drain the event queue: every queued event executes and every
+        /// already-finished detached tool invocation is absorbed. Detached
+        /// invocations still running when the drain returns post their
+        /// results back through later pumps ([`Request::PumpInvocations`],
+        /// issued automatically by the command loop while idle) — the loop
+        /// is never parked behind a slow tool.
+        ProcessAll = "process",
+        /// Re-evaluate every continuous assignment (deferred `let`s).
+        RefreshLets = "refresh",
+        /// Run a `qlang` query.
+        Query = "query" {
+            /// Query terms, e.g. `view=schematic stale.uptodate latest`.
+            terms: String ["query terms (escaped)"],
+        },
+        /// Properties of one OID.
+        Show = "show" {
+            /// The triplet to show.
+            oid: Oid ["an OID `block,view,version`"],
+        },
+        /// What still blocks `oid` from reaching a planned state.
+        WorkLeft = "workleft" {
+            /// The target OID.
+            oid: Oid ["an OID `block,view,version`"],
+            /// The state property.
+            prop: String ["a state property name"],
+        },
+        /// Per-view aggregate of a state property.
+        Summary = "summary" {
+            /// The state property.
+            prop: String ["a state property name"],
+        },
+        /// Pin the dependency closure of `root` as a named Configuration.
+        Snapshot = "snapshot" {
+            /// Configuration name.
+            name: String ["a configuration name"],
+            /// Root OID of the closure.
+            root: Oid ["a root OID"],
+        },
+        /// List stored configurations.
+        ListSnapshots = "snapshots",
+        /// Forbid check-ins to a view.
+        Freeze = "freeze" {
+            /// The view to freeze.
+            view: String ["a view name"],
+        },
+        /// Re-allow check-ins to a view.
+        Thaw = "thaw" {
+            /// The view to thaw.
+            view: String ["a view name"],
+        },
+        /// Enable op-journal durability under a directory.
+        EnableJournal = "journal" {
+            /// Durability directory (server-side path).
+            dir: String ["a directory path"],
+            /// Fewest records between folds; a fold also waits until the
+            /// journal has grown by the snapshot's byte length.
+            every: u64 ["a checkpoint interval"],
+        },
+        /// Fold the journal into a fresh snapshot now.
+        Checkpoint = "checkpoint",
+        /// Restore the project from `snapshot + journal tail`.
+        Recover = "recover" {
+            /// Durability directory (server-side path).
+            dir: String ["a directory path"],
+            /// Fewest records between folds after recovery (see
+            /// [`Request::EnableJournal`]).
+            every: u64 ["a checkpoint interval"],
+        },
+        /// Persist database + payloads to a file (server-side path).
+        SaveProject = "save" {
+            /// Destination file.
+            path: String ["a file path"],
+        },
+        /// Restore database + payloads from a file (server-side path).
+        LoadProject = "load" {
+            /// Source file.
+            path: String ["a file path"],
+        },
+        /// Full textual database dump.
+        Dump = "dump",
+        /// Graphviz dump of the live design state.
+        Dot = "dot",
+        /// Engine audit counters.
+        Audit = "audit",
+        /// Server statistics (database size, queue depth, journal state).
+        Stat = "stat",
+        /// A no-op kept for wire compatibility: waves always drain one event
+        /// at a time, so the worker count is ignored and the reply is `ok`.
+        SetWaveWorkers = "waveworkers" {
+            /// Ignored.
+            workers: u64 ["a worker count"],
+        },
+        /// Set the retry policy for detached tool invocations: how many times
+        /// a failed attempt is retried, the exponential backoff between
+        /// attempts, and the per-attempt wall-clock budget. With `script:
+        /// None` this sets the default policy; with `Some(name)` it overrides
+        /// the policy for that script only. Survives `Init` server swaps,
+        /// like group-commit mode.
+        SetRetryPolicy = "retry" {
+            /// The script (tool) the policy applies to; `None` = the default
+            /// policy for scripts without an override.
+            script: Option<String> ["a script (`-` = default policy)"],
+            /// Retries after the first failed attempt (`0` = one attempt
+            /// only).
+            max_retries: u64 ["a retry count"],
+            /// Delay before the first retry, in milliseconds.
+            base_delay_ms: u64 ["a base delay (ms)"],
+            /// Backoff multiplier: retry *n* waits `base_delay ·
+            /// multiplier^(n-1)`.
+            multiplier: u64 ["a backoff multiplier"],
+            /// Per-attempt wall-clock budget in milliseconds; an attempt
+            /// finishing later counts as failed.
+            timeout_ms: u64 ["a per-attempt timeout (ms)"],
+        },
+        /// Absorb finished detached invocations and run one non-blocking
+        /// queue drain. The command loop issues this to itself when the
+        /// worker pool signals finished work, so results flow back between
+        /// client commands; clients may also send it to poll.
+        PumpInvocations = "pump",
+        /// Replication handshake: stream committed journal records from
+        /// `(epoch, seq)` on. Requires journaling on the receiving server.
+        ///
+        /// Over a streaming transport (the TCP front door) the
+        /// [`Response::Tailing`] reply is followed by tail frames
+        /// ([`TailFrame`](crate::engine::tail::TailFrame) lines) until the
+        /// client disconnects; a brand-new follower sends `(0, 0)` and is
+        /// bootstrapped with a snapshot. See `PROTOCOL.md` §5.
+        TailFrom = "tailfrom" {
+            /// The checkpoint epoch the follower is at.
+            epoch: u64 ["a checkpoint epoch"],
+            /// The next record sequence number the follower expects.
+            seq: u64 ["a record sequence number"],
+        },
+        /// Promote a caught-up follower into a leader under a new fencing
+        /// term: enable a local journal at the replica's cursor (its epoch
+        /// strictly exceeds the consumed one), open the node's own tail hub
+        /// under `term`, and start accepting mutations. Refused with
+        /// [`ApiError::StaleTerm`] when `term` does not exceed the highest
+        /// term the node has seen, and with [`ApiError::Lagging`] before the
+        /// first bootstrap. On a node that is already a leader the request is
+        /// [`ApiError::StaleTerm`] unless `term` beats its current term —
+        /// re-promoting a live leader to a higher term is a legal no-op-ish
+        /// re-journal. See `PROTOCOL.md` §7 and `DESIGN.md` §13.
+        Promote = "promote" {
+            /// Durability directory for the promoted node's own journal
+            /// (server-side path).
+            dir: String ["a directory path"],
+            /// Fewest records between folds; a fold also waits until the
+            /// journal has grown by the snapshot's byte length.
+            every: u64 ["a checkpoint interval"],
+            /// The new leadership term; must strictly exceed every term this
+            /// node has observed.
+            term: u64 ["a leadership term"],
+        },
+        /// Fence this node out of leadership term `term`: a barrier that
+        /// flushes the group-commit window, then terminally disables the
+        /// node's durability and refuses every later mutation with
+        /// [`ApiError::StaleTerm`]. Sent to a deposed (revived) leader so it
+        /// can never dual-commit against the reign that replaced it. Refused
+        /// with [`ApiError::StaleTerm`] when `term` does not exceed the
+        /// node's current term (a stale fencer cannot depose a newer reign).
+        Fence = "fence" {
+            /// The newer term doing the fencing.
+            term: u64 ["a leadership term"],
+        },
+        /// Deterministic time-travel replay: rebuild the image the server had
+        /// at journal cursor `(epoch, seq)` — the snapshot of `epoch` plus the
+        /// first `seq` journal records — in a scratch database, leaving the
+        /// live server untouched. Requires journaling; only the current epoch
+        /// is addressable (earlier snapshots are folded away by checkpoints).
+        /// The reply carries the reconstructed image so "journal dir +
+        /// cursor" is a complete bug report. See `PROTOCOL.md` §6.
+        Replay = "replay" {
+            /// The checkpoint epoch to replay within.
+            epoch: u64 ["a checkpoint epoch"],
+            /// Journal records to replay on top of the snapshot (`0` = the
+            /// snapshot alone).
+            seq: u64 ["a journal cursor sequence"],
+        },
+        /// Control execution tracing ([`TraceLog`](crate::engine::trace::TraceLog)):
+        /// turn per-wave step retention on or off, or drain the records
+        /// captured since the last get. Retention is off by default and costs
+        /// nothing when off.
+        Trace = "trace" {
+            /// What to do with the trace log.
+            mode: TraceMode ["a trace mode (`on`, `off` or `get`)"],
+        },
+        /// Attach this session to a fleet project: subsequent requests on the
+        /// session route to that tenant's engine (see
+        /// [`fleet`](crate::engine::fleet)). Wire form `project <name>`, with
+        /// a trailing `new` to register the project on first attach. A
+        /// single-project node answers [`ApiError::NoFleet`].
+        Attach = "project" {
+            /// The project (tenant) name — one path component under the fleet
+            /// root, no separators.
+            project: String ["a project name"],
+            /// Register the project if it does not exist yet; without it an
+            /// unknown name answers [`ApiError::NoSuchProject`].
+            create: bool as NewFlag ["`new` or end of line"],
+        },
+        /// List the fleet's registered projects and whether each is currently
+        /// activated in memory. Wire form `projects`; a single-project node
+        /// answers [`ApiError::NoFleet`].
+        ListProjects = "projects",
+    }
 }
 
 /// The operation of a [`Request::Trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// Start retaining per-wave step records.
     On,
@@ -405,91 +540,145 @@ impl Request {
                 | Request::ListProjects
         )
     }
+
+    /// Renders the canonical single-line form (no trailing newline).
+    ///
+    /// ```
+    /// use blueprint_core::engine::api::Request;
+    ///
+    /// let req = Request::Checkin {
+    ///     block: "CPU".into(),
+    ///     view: "HDL_model".into(),
+    ///     user: "yves".into(),
+    ///     payload: b"module".to_vec(),
+    /// };
+    /// assert_eq!(req.encode(), "checkin CPU HDL_model yves 6d6f64756c65");
+    /// ```
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.put_words(&mut out);
+        out
+    }
+
+    /// Parses the canonical single-line form. The codec round-trips
+    /// byte-identically: `decode(encode(r)) == r` and re-encoding a
+    /// decoded line reproduces it (property-tested in
+    /// `tests/api_roundtrip.rs`).
+    ///
+    /// ```
+    /// use blueprint_core::engine::api::Request;
+    ///
+    /// let line = "post simwrap hdl_sim up reg,verilog,4 logic%20sim%20passed";
+    /// let req = Request::decode(line).unwrap();
+    /// assert_eq!(req.encode(), line);
+    /// assert!(matches!(req, Request::Post { user, .. } if user == "simwrap"));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::Parse`] (with byte offset, found token and expectation)
+    /// or [`ApiError::UnknownCommand`].
+    pub fn decode(line: &str) -> Result<Request, ApiError> {
+        let mut c = Cursor::new(line);
+        let req = Request::take_words(&mut c)?;
+        c.finish()?;
+        Ok(req)
+    }
 }
 
 // ---------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------
 
-/// One blocking item of a [`Response::Work`] result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkLeftItem {
-    /// The blocking object.
-    pub oid: Oid,
-    /// The unsatisfied state property.
-    pub prop: String,
-    /// Its current value (`None` when unset).
-    pub current: Option<Value>,
+wire_enum! {
+    /// One blocking item of a [`Response::Work`] result.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WorkLeftItem {
+        /// The blocking object.
+        pub oid: Oid ["an OID"],
+        /// The unsatisfied state property.
+        pub prop: String ["a property name"],
+        /// Its current value (`None` when unset).
+        pub current: Option<Value> ["an optional value"],
+    }
 }
 
-/// One per-view row of a [`Response::ViewSummary`] result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SummaryRow {
-    /// The view type.
-    pub view: String,
-    /// Live objects of this view.
-    pub total: u64,
-    /// Objects whose state property is truthy.
-    pub satisfied: u64,
-    /// Objects lacking the property entirely.
-    pub untracked: u64,
+wire_enum! {
+    /// One per-view row of a [`Response::ViewSummary`] result.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SummaryRow {
+        /// The view type.
+        pub view: String ["a view name"],
+        /// Live objects of this view.
+        pub total: u64 ["a total"],
+        /// Objects whose state property is truthy.
+        pub satisfied: u64 ["a satisfied count"],
+        /// Objects lacking the property entirely.
+        pub untracked: u64 ["an untracked count"],
+    }
 }
 
-/// One registered project of a [`Response::Projects`] result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProjectEntry {
-    /// The project (tenant) name.
-    pub name: String,
-    /// Whether the project is currently activated in memory (a cold
-    /// project is just snapshot + journal tail on disk).
-    pub active: bool,
+wire_enum! {
+    /// One registered project of a [`Response::Projects`] result.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProjectEntry {
+        /// The project (tenant) name.
+        pub name: String ["a project name"],
+        /// Whether the project is currently activated in memory (a cold
+        /// project is just snapshot + journal tail on disk).
+        pub active: bool ["an active flag (0/1)"],
+    }
 }
 
-/// One stored configuration of a [`Response::SnapshotList`] result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotInfo {
-    /// Configuration name.
-    pub name: String,
-    /// Pinned OIDs.
-    pub oids: u64,
-    /// Pinned links.
-    pub links: u64,
-    /// Addresses that no longer resolve.
-    pub dangling: u64,
+wire_enum! {
+    /// One stored configuration of a [`Response::SnapshotList`] result.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SnapshotInfo {
+        /// Configuration name.
+        pub name: String ["a configuration name"],
+        /// Pinned OIDs.
+        pub oids: u64 ["an OID count"],
+        /// Pinned links.
+        pub links: u64 ["a link count"],
+        /// Addresses that no longer resolve.
+        pub dangling: u64 ["a dangling count"],
+    }
 }
 
-/// Engine audit counters, as carried by [`Response::Audit`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AuditCounters {
-    /// Rule-executing deliveries.
-    pub deliveries: u64,
-    /// Property writes.
-    pub assignments: u64,
-    /// Continuous-assignment evaluations.
-    pub reevaluations: u64,
-    /// Script invocations.
-    pub scripts: u64,
-    /// Events posted by rules.
-    pub posts: u64,
-    /// Link crossings.
-    pub propagations: u64,
-    /// Cycle-guard skips.
-    pub cycle_skips: u64,
-    /// Depth truncations.
-    pub depth_truncations: u64,
-    /// Template applications.
-    pub templates: u64,
-    /// Detached invocation attempts that were retried after a failure.
-    pub invoke_retries: u64,
-    /// Detached invocation attempts that exceeded their wall-clock
-    /// budget.
-    pub invoke_timeouts: u64,
-    /// Detached invocations that exhausted their whole retry budget.
-    pub invoke_exhaustions: u64,
+wire_enum! {
+    /// Engine audit counters, as carried by [`Response::Audit`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AuditCounters {
+        /// Rule-executing deliveries.
+        pub deliveries: u64 ["deliveries"],
+        /// Property writes.
+        pub assignments: u64 ["assignments"],
+        /// Continuous-assignment evaluations.
+        pub reevaluations: u64 ["reevaluations"],
+        /// Script invocations.
+        pub scripts: u64 ["scripts"],
+        /// Events posted by rules.
+        pub posts: u64 ["posts"],
+        /// Link crossings.
+        pub propagations: u64 ["propagations"],
+        /// Cycle-guard skips.
+        pub cycle_skips: u64 ["cycle skips"],
+        /// Depth truncations.
+        pub depth_truncations: u64 ["depth truncations"],
+        /// Template applications.
+        pub templates: u64 ["templates"],
+        /// Detached invocation attempts that were retried after a failure.
+        pub invoke_retries: u64 ["invoke retries"],
+        /// Detached invocation attempts that exceeded their wall-clock
+        /// budget.
+        pub invoke_timeouts: u64 ["invoke timeouts"],
+        /// Detached invocations that exhausted their whole retry budget.
+        pub invoke_exhaustions: u64 ["invoke exhaustions"],
+    }
 }
 
 /// Which replication role a node answers `stat` as.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NodeRole {
     /// Accepts mutations and journals them — the default for a
     /// single-node server, and what a promoted follower becomes.
@@ -520,230 +709,271 @@ impl std::str::FromStr for NodeRole {
     }
 }
 
-/// Server statistics, as carried by [`Response::Stat`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerStat {
-    /// Live objects in the meta-database.
-    pub oids: u64,
-    /// Live links.
-    pub links: u64,
-    /// Events queued and not yet processed.
-    pub pending_events: u64,
-    /// Current checkpoint epoch, when journaling.
-    pub journal_epoch: Option<u64>,
-    /// Ops appended since the last checkpoint, when journaling.
-    pub journal_records: Option<u64>,
-    /// Always `1`: waves drain sequentially. Kept so the `stat` line
-    /// stays at its fixed width.
-    pub wave_workers: u64,
-    /// Detached invocations waiting for a worker.
-    pub pending_invocations: u64,
-    /// Detached invocations executing on a worker right now.
-    pub running_invocations: u64,
-    /// Detached invocations sitting out a backoff delay before their
-    /// next attempt.
-    pub retrying_invocations: u64,
-    /// Detached invocations that exhausted their retry budget (lifetime
-    /// count for this pool).
-    pub failed_invocations: u64,
-    /// The replay cursor's epoch: the checkpoint epoch whose journal the
-    /// server is appending to (`0` when journaling is off — epochs count
-    /// from 1).
-    pub cursor_epoch: u64,
-    /// The replay cursor's sequence: committed journal records in that
-    /// epoch. `Replay { epoch: cursor_epoch, seq: cursor_seq }`
-    /// reconstructs exactly the image this `stat` describes.
-    pub cursor_seq: u64,
-    /// Fleet only: projects currently activated in memory (bounded by
-    /// `--max-active`). `0` on a single-project node.
-    pub active_projects: u64,
-    /// Fleet only: projects registered under the fleet root — the tenant
-    /// roster, resident on disk whether activated or not. `0` on a
-    /// single-project node.
-    pub resident_projects: u64,
-    /// Fleet only: lifetime cold→active transitions (first activations
-    /// plus journal reactivations after eviction).
-    pub activations: u64,
-    /// Fleet only: lifetime active→cold transitions (LRU checkpoints plus
-    /// panic poisonings, which also leave residency).
-    pub evictions: u64,
-    /// The leadership term this node operates under: the term its journal
-    /// commits carry on a leader, the highest term observed in the tail
-    /// stream on a follower. Terms count from 1; a node that has never
-    /// seen a term-bearing stream reports 1.
-    pub term: u64,
-    /// Whether this node is a mutation-accepting leader or a read-only
-    /// follower (a promoted follower flips to `Leader`).
-    pub role: NodeRole,
+wire_enum! {
+    /// Server statistics, as carried by [`Response::Stat`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerStat {
+        /// Live objects in the meta-database.
+        pub oids: u64 ["an OID count"],
+        /// Live links.
+        pub links: u64 ["a link count"],
+        /// Events queued and not yet processed.
+        pub pending_events: u64 ["a pending-event count"],
+        /// Current checkpoint epoch, when journaling.
+        pub journal_epoch: Option<u64> ["an optional epoch"],
+        /// Ops appended since the last checkpoint, when journaling.
+        pub journal_records: Option<u64> ["an optional record count"],
+        /// Always `1`: waves drain sequentially. Kept so the `stat` line
+        /// stays at its fixed width.
+        pub wave_workers: u64 ["a wave worker count"],
+        /// Detached invocations waiting for a worker.
+        pub pending_invocations: u64 ["a pending-invocation count"],
+        /// Detached invocations executing on a worker right now.
+        pub running_invocations: u64 ["a running-invocation count"],
+        /// Detached invocations sitting out a backoff delay before their
+        /// next attempt.
+        pub retrying_invocations: u64 ["a retrying-invocation count"],
+        /// Detached invocations that exhausted their retry budget (lifetime
+        /// count for this pool).
+        pub failed_invocations: u64 ["a failed-invocation count"],
+        /// The replay cursor's epoch: the checkpoint epoch whose journal the
+        /// server is appending to (`0` when journaling is off — epochs count
+        /// from 1).
+        pub cursor_epoch: u64 ["a cursor epoch"],
+        /// The replay cursor's sequence: committed journal records in that
+        /// epoch. `Replay { epoch: cursor_epoch, seq: cursor_seq }`
+        /// reconstructs exactly the image this `stat` describes.
+        pub cursor_seq: u64 ["a cursor sequence"],
+        /// Fleet only: projects currently activated in memory (bounded by
+        /// `--max-active`). `0` on a single-project node.
+        pub active_projects: u64 ["an active-project count"],
+        /// Fleet only: projects registered under the fleet root — the tenant
+        /// roster, resident on disk whether activated or not. `0` on a
+        /// single-project node.
+        pub resident_projects: u64 ["a resident-project count"],
+        /// Fleet only: lifetime cold→active transitions (first activations
+        /// plus journal reactivations after eviction).
+        pub activations: u64 ["an activation count"],
+        /// Fleet only: lifetime active→cold transitions (LRU checkpoints plus
+        /// panic poisonings, which also leave residency).
+        pub evictions: u64 ["an eviction count"],
+        /// The leadership term this node operates under: the term its journal
+        /// commits carry on a leader, the highest term observed in the tail
+        /// stream on a follower. Terms count from 1; a node that has never
+        /// seen a term-bearing stream reports 1.
+        pub term: u64 ["a leadership term"],
+        /// Whether this node is a mutation-accepting leader or a read-only
+        /// follower (a promoted follower flips to `Leader`).
+        pub role: NodeRole ["a role (leader/follower)"],
+    }
 }
 
-/// The typed result of one [`Request`]. Structured data, not rendered
-/// text — clients (the shell, wrapper libraries) decide presentation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Response {
-    /// The request succeeded and has no further payload.
-    Ok,
-    /// A blueprint was (re-)initialized.
-    Blueprint {
-        /// The blueprint's declared name.
-        name: String,
-    },
-    /// An object was created (check-in or bare create).
-    Created {
-        /// The new triplet.
-        oid: Oid,
-    },
-    /// An event-queue drain completed.
-    Processed {
-        /// Events processed.
-        events: u64,
-        /// Rule-executing deliveries.
-        deliveries: u64,
-        /// Wrapper invocations dispatched.
-        scripts: u64,
-        /// Messages wrappers posted back.
-        emitted: u64,
-    },
-    /// Continuous assignments were re-evaluated.
-    Refreshed {
-        /// `let` properties written.
-        written: u64,
-    },
-    /// Properties of one OID.
-    Props {
-        /// The shown triplet.
-        oid: Oid,
-        /// `(name, value)` pairs in name order.
-        props: Vec<(String, Value)>,
-    },
-    /// Query hits.
-    Hits {
-        /// Matching triplets in address order.
-        oids: Vec<Oid>,
-    },
-    /// Work-remaining analysis.
-    Work {
-        /// The queried target.
-        target: Oid,
-        /// The blocking items.
-        items: Vec<WorkLeftItem>,
-    },
-    /// Per-view state summary.
-    ViewSummary {
-        /// One row per view, in view order.
-        rows: Vec<SummaryRow>,
-    },
-    /// A configuration was pinned.
-    Snapped {
-        /// Its name.
-        name: String,
-        /// OIDs pinned.
-        oids: u64,
-    },
-    /// The stored configurations.
-    SnapshotList {
-        /// One entry per configuration, in name order.
-        entries: Vec<SnapshotInfo>,
-    },
-    /// A checkpoint epoch (journal enable / checkpoint).
-    Epoch {
-        /// The epoch.
-        epoch: u64,
-    },
-    /// A recovery completed.
-    Recovered {
-        /// The snapshot's epoch.
-        epoch: u64,
-        /// Objects restored from the snapshot alone.
-        snapshot_oids: u64,
-        /// Journal ops replayed on top.
-        replayed_ops: u64,
-        /// Why the tail was cut short, if it was.
-        torn_tail: Option<String>,
-        /// Whether a stale journal was ignored.
-        stale_journal: bool,
-    },
-    /// A project image was adopted.
-    Loaded {
-        /// Objects in the restored database.
-        oids: u64,
-    },
-    /// A text artifact (DOT graph, database dump).
-    Text {
-        /// The artifact.
-        text: String,
-    },
-    /// Audit counters.
-    Audit {
-        /// The counters.
-        counters: AuditCounters,
-    },
-    /// Server statistics.
-    Stat {
-        /// The statistics.
-        stat: ServerStat,
-    },
-    /// A [`Request::Promote`] succeeded: this node is now a leader,
-    /// journaling `epoch` under fencing `term`.
-    Promoted {
-        /// The promoted node's first journal epoch (strictly above the
-        /// cursor epoch it consumed as a follower).
-        epoch: u64,
-        /// The leadership term it journals under.
-        term: u64,
-    },
-    /// A [`Request::TailFrom`] was accepted: the leader's committed
-    /// stream position is `(epoch, seq)`. On a streaming transport, tail
-    /// frames follow this line on the same connection.
-    Tailing {
-        /// The leader's current checkpoint epoch.
-        epoch: u64,
-        /// Committed records in that epoch (== the next sequence number).
-        seq: u64,
-    },
-    /// A [`Request::Replay`] reconstructed a historical image.
-    Replayed {
-        /// The cursor's epoch.
-        epoch: u64,
-        /// Journal records replayed on top of the snapshot.
-        seq: u64,
-        /// Objects in the reconstructed database.
-        oids: u64,
-        /// The full reconstructed project image (the `save` format) —
-        /// byte-identical to what `save` would have produced at that
-        /// cursor, so clients can diff, load, or inspect it offline.
-        image: String,
-    },
-    /// Execution-trace records drained by a [`Request::Trace`] get, each
-    /// in the [`TraceRecord`](crate::engine::trace::TraceRecord) line
-    /// form, in execution order.
-    Trace {
-        /// The encoded records.
-        records: Vec<String>,
-    },
-    /// A [`Request::Attach`] succeeded: the session now routes to
-    /// `project`.
-    Attached {
-        /// The attached project.
-        project: String,
-        /// Whether the attach registered the project (`create` on a name
-        /// the fleet had not seen).
-        created: bool,
-    },
-    /// The fleet's project roster, from [`Request::ListProjects`].
-    Projects {
-        /// One entry per registered project, in name order.
-        entries: Vec<ProjectEntry>,
-    },
-    /// The request failed.
-    Error(ApiError),
+wire_enum! {
+    /// The typed result of one [`Request`]. Structured data, not rendered
+    /// text — clients (the shell, wrapper libraries) decide presentation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum Response: "a response keyword" else parse_error {
+        /// The request succeeded and has no further payload.
+        Ok = "ok",
+        /// A blueprint was (re-)initialized.
+        Blueprint = "blueprint" {
+            /// The blueprint's declared name.
+            name: String ["a blueprint name"],
+        },
+        /// An object was created (check-in or bare create).
+        Created = "created" {
+            /// The new triplet.
+            oid: Oid ["an OID"],
+        },
+        /// An event-queue drain completed.
+        Processed = "processed" {
+            /// Events processed.
+            events: u64 ["an event count"],
+            /// Rule-executing deliveries.
+            deliveries: u64 ["a delivery count"],
+            /// Wrapper invocations dispatched.
+            scripts: u64 ["a script count"],
+            /// Messages wrappers posted back.
+            emitted: u64 ["an emitted count"],
+        },
+        /// Continuous assignments were re-evaluated.
+        Refreshed = "refreshed" {
+            /// `let` properties written.
+            written: u64 ["a write count"],
+        },
+        /// Properties of one OID.
+        Props = "props" {
+            /// The shown triplet.
+            oid: Oid ["an OID"],
+            /// `(name, value)` pairs in name order.
+            props: Vec<(String, Value)> ["a property count", "a property name", "a tagged value"],
+        },
+        /// Query hits.
+        Hits = "hits" {
+            /// Matching triplets in address order.
+            oids: Vec<Oid> ["a hit count", "an OID"],
+        },
+        /// Work-remaining analysis.
+        Work = "work" {
+            /// The queried target.
+            target: Oid ["the target OID"],
+            /// The blocking items.
+            items: Vec<WorkLeftItem> ["an item count"],
+        },
+        /// Per-view state summary.
+        ViewSummary = "viewsummary" {
+            /// One row per view, in view order.
+            rows: Vec<SummaryRow> ["a row count"],
+        },
+        /// A configuration was pinned.
+        Snapped = "snapped" {
+            /// Its name.
+            name: String ["a configuration name"],
+            /// OIDs pinned.
+            oids: u64 ["an OID count"],
+        },
+        /// The stored configurations.
+        SnapshotList = "snaplist" {
+            /// One entry per configuration, in name order.
+            entries: Vec<SnapshotInfo> ["an entry count"],
+        },
+        /// A checkpoint epoch (journal enable / checkpoint).
+        Epoch = "epoch" {
+            /// The epoch.
+            epoch: u64 ["an epoch"],
+        },
+        /// A recovery completed.
+        Recovered = "recovered" {
+            /// The snapshot's epoch.
+            epoch: u64 ["an epoch"],
+            /// Objects restored from the snapshot alone.
+            snapshot_oids: u64 ["a snapshot OID count"],
+            /// Journal ops replayed on top.
+            replayed_ops: u64 ["a replayed-op count"],
+            /// Why the tail was cut short, if it was.
+            torn_tail: Option<String> ["an optional torn-tail reason"],
+            /// Whether a stale journal was ignored.
+            stale_journal: bool ["a stale flag (0/1)"],
+        },
+        /// A project image was adopted.
+        Loaded = "loaded" {
+            /// Objects in the restored database.
+            oids: u64 ["an OID count"],
+        },
+        /// A text artifact (DOT graph, database dump).
+        Text = "text" {
+            /// The artifact.
+            text: String ["a text artifact (escaped)"],
+        },
+        /// Audit counters.
+        Audit = "audit" {
+            /// The counters.
+            counters: AuditCounters [],
+        },
+        /// Server statistics.
+        Stat = "stat" {
+            /// The statistics.
+            stat: ServerStat [],
+        },
+        /// A [`Request::Promote`] succeeded: this node is now a leader,
+        /// journaling `epoch` under fencing `term`.
+        Promoted = "promoted" {
+            /// The promoted node's first journal epoch (strictly above the
+            /// cursor epoch it consumed as a follower).
+            epoch: u64 ["an epoch"],
+            /// The leadership term it journals under.
+            term: u64 ["a leadership term"],
+        },
+        /// A [`Request::TailFrom`] was accepted: the leader's committed
+        /// stream position is `(epoch, seq)`. On a streaming transport, tail
+        /// frames follow this line on the same connection.
+        Tailing = "tailing" {
+            /// The leader's current checkpoint epoch.
+            epoch: u64 ["a checkpoint epoch"],
+            /// Committed records in that epoch (== the next sequence number).
+            seq: u64 ["a record sequence number"],
+        },
+        /// A [`Request::Replay`] reconstructed a historical image.
+        Replayed = "replayed" {
+            /// The cursor's epoch.
+            epoch: u64 ["a checkpoint epoch"],
+            /// Journal records replayed on top of the snapshot.
+            seq: u64 ["a journal cursor sequence"],
+            /// Objects in the reconstructed database.
+            oids: u64 ["an OID count"],
+            /// The full reconstructed project image (the `save` format) —
+            /// byte-identical to what `save` would have produced at that
+            /// cursor, so clients can diff, load, or inspect it offline.
+            image: String ["a project image (escaped)"],
+        },
+        /// Execution-trace records drained by a [`Request::Trace`] get, each
+        /// in the [`TraceRecord`](crate::engine::trace::TraceRecord) line
+        /// form, in execution order.
+        Trace = "trace" {
+            /// The encoded records.
+            records: Vec<String> ["a record count", "an encoded trace record"],
+        },
+        /// A [`Request::Attach`] succeeded: the session now routes to
+        /// `project`.
+        Attached = "attached" {
+            /// The attached project.
+            project: String ["a project name"],
+            /// Whether the attach registered the project (`create` on a name
+            /// the fleet had not seen).
+            created: bool ["a created flag (0/1)"],
+        },
+        /// The fleet's project roster, from [`Request::ListProjects`].
+        Projects = "projects" {
+            /// One entry per registered project, in name order.
+            entries: Vec<ProjectEntry> ["an entry count"],
+        },
+        /// The request failed.
+        Error = "err" (ApiError),
+    }
 }
 
 impl Response {
     /// Whether this is an error response.
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error(_))
+    }
+
+    /// Renders the canonical single-line form (no trailing newline).
+    ///
+    /// ```
+    /// use blueprint_core::engine::api::{ApiError, Response};
+    ///
+    /// let resp = Response::Error(ApiError::ReadOnly {
+    ///     leader: "10.0.0.7:7425".into(),
+    /// });
+    /// assert_eq!(resp.encode(), "err read-only 10.0.0.7:7425");
+    /// ```
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.put_words(&mut out);
+        out
+    }
+
+    /// Parses the canonical single-line form.
+    ///
+    /// ```
+    /// use blueprint_core::engine::api::Response;
+    ///
+    /// match Response::decode("processed 2 3 1 0").unwrap() {
+    ///     Response::Processed { events, .. } => assert_eq!(events, 2),
+    ///     other => panic!("{other:?}"),
+    /// }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::Parse`] with byte offset, found token and expectation.
+    pub fn decode(line: &str) -> Result<Response, ApiError> {
+        let mut c = Cursor::new(line);
+        let resp = Response::take_words(&mut c)?;
+        c.finish()?;
+        Ok(resp)
     }
 }
 
@@ -762,152 +992,154 @@ impl From<ProcessReport> for Response {
 // Errors
 // ---------------------------------------------------------------------
 
-/// A structured, serializable API error carrying the [`EngineError`]
-/// taxonomy — precise variants for the failures a client can act on, a
-/// tagged catch-all for the rest. Never a bare pre-formatted string for
-/// the actionable cases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum ApiError {
-    /// A command or wire line failed to parse.
-    Parse {
-        /// Byte offset of the offending token.
-        at: u64,
-        /// The token found there (`"end of line"` when input ran out).
-        found: String,
-        /// What the grammar expected.
-        expected: String,
-    },
-    /// The first word of a command line names no known command.
-    UnknownCommand {
-        /// Byte offset of the word.
-        at: u64,
-        /// The word.
-        found: String,
-    },
-    /// No blueprint is loaded yet; `Init` must come first.
-    NoProject,
-    /// The targeted triplet does not exist.
-    UnknownOid {
-        /// The unresolved triplet.
-        oid: Oid,
-    },
-    /// The triplet already exists.
-    DuplicateOid {
-        /// The duplicated triplet.
-        oid: Oid,
-    },
-    /// A workspace operation conflicted with check-out state.
-    CheckoutConflict {
-        /// The object in conflict.
-        oid: Oid,
-        /// Who holds it, if anyone.
-        holder: Option<String>,
-    },
-    /// A check-in targeted a frozen view.
-    FrozenView {
-        /// The frozen view.
-        view: String,
-    },
-    /// Another project-policy rejection.
-    Policy {
-        /// The rendered violation.
-        detail: String,
-    },
-    /// Blueprint source failed static validation.
-    InvalidBlueprint {
-        /// The rendered validation errors.
-        issues: Vec<String>,
-    },
-    /// Blueprint source failed to parse.
-    BlueprintSyntax {
-        /// The rendered parse error (carries its own position).
-        message: String,
-    },
-    /// `ProcessAll` exceeded the server's event budget.
-    Runaway {
-        /// Events processed before giving up.
-        processed: u64,
-    },
-    /// A durability operation failed.
-    Journal {
-        /// What went wrong.
-        reason: String,
-    },
-    /// A detached tool invocation exhausted its retry budget. The same
-    /// failure also lands in-band as a `tool_failed` event at the
-    /// invocation's origin; this is the out-of-band form for clients
-    /// that watch invocations directly.
-    InvocationFailed {
-        /// The script (tool) that failed.
-        script: String,
-        /// Attempts consumed (≥ 1).
-        attempts: u64,
-        /// The last failure reason.
-        reason: String,
-    },
-    /// Another meta-database failure.
-    Meta {
-        /// The rendered error.
-        reason: String,
-    },
-    /// A server-side file operation failed.
-    Io {
-        /// The rendered error.
-        reason: String,
-    },
-    /// The receiving node is a read-only replication follower; mutations
-    /// must go to the leader.
-    ReadOnly {
-        /// The leader's address, as the follower was configured with.
-        leader: String,
-    },
-    /// The follower has not finished catching up with the leader's
-    /// stream; `(epoch, seq)` is how far it has applied. Retry shortly,
-    /// or read from the leader.
-    Lagging {
-        /// The follower's applied checkpoint epoch.
-        epoch: u64,
-        /// Records applied within that epoch.
-        seq: u64,
-    },
-    /// The operation ran under a stale leadership term: a newer reign
-    /// fenced this node (or the request itself carried an outdated term).
-    /// Committing it could dual-commit against the current leader, so it
-    /// is refused structurally — chase the current leader instead.
-    StaleTerm {
-        /// The stale term the operation ran (or was requested) under.
-        term: u64,
-        /// The newer term holding the reign.
-        current: u64,
-    },
-    /// A fleet session sent a routable request before attaching to a
-    /// project (`project <name>` must come first).
-    NotAttached,
-    /// An attach named a project the fleet has not registered (and did
-    /// not ask to create it).
-    NoSuchProject {
-        /// The unknown project name.
-        project: String,
-    },
-    /// The fleet could not take the request right now: the project's
-    /// activation backlog is full (every active slot is pinned and the
-    /// parked queue hit its limit). Backpressure — retry shortly.
-    ProjectBusy {
-        /// The congested project.
-        project: String,
-    },
-    /// An engine worker panicked while serving this project; the
-    /// project's unflushed group-commit window is lost and it left
-    /// residency. Re-attaching recovers it from its journal (crash
-    /// semantics), and other projects on the same worker are unaffected.
-    ProjectPoisoned {
-        /// The poisoned project.
-        project: String,
-    },
-    /// `project`/`projects` was sent to a single-project node; fleet
-    /// routing needs a fleet front door (`damocles_server --fleet`).
-    NoFleet,
+wire_enum! {
+    /// A structured, serializable API error carrying the [`EngineError`]
+    /// taxonomy — precise variants for the failures a client can act on, a
+    /// tagged catch-all for the rest. Never a bare pre-formatted string for
+    /// the actionable cases.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum ApiError: "an error kind" else parse_error {
+        /// A command or wire line failed to parse.
+        Parse = "parse" {
+            /// Byte offset of the offending token.
+            at: u64 ["a byte offset"],
+            /// The token found there (`"end of line"` when input ran out).
+            found: String ["the found token"],
+            /// What the grammar expected.
+            expected: String ["the expectation"],
+        },
+        /// The first word of a command line names no known command.
+        UnknownCommand = "unknown-command" {
+            /// Byte offset of the word.
+            at: u64 ["a byte offset"],
+            /// The word.
+            found: String ["the found token"],
+        },
+        /// No blueprint is loaded yet; `Init` must come first.
+        NoProject = "no-project",
+        /// The targeted triplet does not exist.
+        UnknownOid = "unknown-oid" {
+            /// The unresolved triplet.
+            oid: Oid ["an OID"],
+        },
+        /// The triplet already exists.
+        DuplicateOid = "duplicate-oid" {
+            /// The duplicated triplet.
+            oid: Oid ["an OID"],
+        },
+        /// A workspace operation conflicted with check-out state.
+        CheckoutConflict = "checkout-conflict" {
+            /// The object in conflict.
+            oid: Oid ["an OID"],
+            /// Who holds it, if anyone.
+            holder: Option<String> ["an optional holder"],
+        },
+        /// A check-in targeted a frozen view.
+        FrozenView = "frozen-view" {
+            /// The frozen view.
+            view: String ["a view name"],
+        },
+        /// Another project-policy rejection.
+        Policy = "policy" {
+            /// The rendered violation.
+            detail: String ["a violation rendering"],
+        },
+        /// Blueprint source failed static validation.
+        InvalidBlueprint = "invalid-blueprint" {
+            /// The rendered validation errors.
+            issues: Vec<String> ["an issue count", "an issue rendering"],
+        },
+        /// Blueprint source failed to parse.
+        BlueprintSyntax = "blueprint-syntax" {
+            /// The rendered parse error (carries its own position).
+            message: String ["a parse-error rendering"],
+        },
+        /// `ProcessAll` exceeded the server's event budget.
+        Runaway = "runaway" {
+            /// Events processed before giving up.
+            processed: u64 ["an event count"],
+        },
+        /// A durability operation failed.
+        Journal = "journal" {
+            /// What went wrong.
+            reason: String ["a reason"],
+        },
+        /// A detached tool invocation exhausted its retry budget. The same
+        /// failure also lands in-band as a `tool_failed` event at the
+        /// invocation's origin; this is the out-of-band form for clients
+        /// that watch invocations directly.
+        InvocationFailed = "invocation-failed" {
+            /// The script (tool) that failed.
+            script: String ["a script name"],
+            /// Attempts consumed (≥ 1).
+            attempts: u64 ["an attempt count"],
+            /// The last failure reason.
+            reason: String ["a reason"],
+        },
+        /// Another meta-database failure.
+        Meta = "meta" {
+            /// The rendered error.
+            reason: String ["a reason"],
+        },
+        /// A server-side file operation failed.
+        Io = "io" {
+            /// The rendered error.
+            reason: String ["a reason"],
+        },
+        /// The receiving node is a read-only replication follower; mutations
+        /// must go to the leader.
+        ReadOnly = "read-only" {
+            /// The leader's address, as the follower was configured with.
+            leader: String ["a leader address"],
+        },
+        /// The follower has not finished catching up with the leader's
+        /// stream; `(epoch, seq)` is how far it has applied. Retry shortly,
+        /// or read from the leader.
+        Lagging = "lagging" {
+            /// The follower's applied checkpoint epoch.
+            epoch: u64 ["a checkpoint epoch"],
+            /// Records applied within that epoch.
+            seq: u64 ["a record sequence number"],
+        },
+        /// The operation ran under a stale leadership term: a newer reign
+        /// fenced this node (or the request itself carried an outdated term).
+        /// Committing it could dual-commit against the current leader, so it
+        /// is refused structurally — chase the current leader instead.
+        StaleTerm = "stale-term" {
+            /// The stale term the operation ran (or was requested) under.
+            term: u64 ["a stale term"],
+            /// The newer term holding the reign.
+            current: u64 ["the current term"],
+        },
+        /// A fleet session sent a routable request before attaching to a
+        /// project (`project <name>` must come first).
+        NotAttached = "not-attached",
+        /// An attach named a project the fleet has not registered (and did
+        /// not ask to create it).
+        NoSuchProject = "no-such-project" {
+            /// The unknown project name.
+            project: String ["a project name"],
+        },
+        /// The fleet could not take the request right now: the project's
+        /// activation backlog is full (every active slot is pinned and the
+        /// parked queue hit its limit). Backpressure — retry shortly.
+        ProjectBusy = "project-busy" {
+            /// The congested project.
+            project: String ["a project name"],
+        },
+        /// An engine worker panicked while serving this project; the
+        /// project's unflushed group-commit window is lost and it left
+        /// residency. Re-attaching recovers it from its journal (crash
+        /// semantics), and other projects on the same worker are unaffected.
+        ProjectPoisoned = "project-poisoned" {
+            /// The poisoned project.
+            project: String ["a project name"],
+        },
+        /// `project`/`projects` was sent to a single-project node; fleet
+        /// routing needs a fleet front door (`damocles_server --fleet`).
+        NoFleet = "no-fleet",
+    }
 }
 
 impl fmt::Display for ApiError {
@@ -1077,46 +1309,258 @@ pub(crate) fn dec_str(word: &str) -> Result<String, String> {
     }
 }
 
-/// Encodes an optional string: `-` for `None`, `+<word>` for `Some`.
-fn enc_opt(s: Option<&str>) -> String {
-    match s {
-        None => "-".to_string(),
-        Some(s) => format!("+{}", enc_str(s)),
+/// A field codec: `put` appends the field's words, each after a space;
+/// `take` reads them back, naming `ex` — the grammar element(s) the field
+/// spans — in its parse errors. `Codec: Wire<T>` is a codec for `T`
+/// other than `T`'s own.
+trait Wire<T = Self> {
+    fn put(v: &T, out: &mut String);
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<T, ApiError>;
+}
+
+/// A one-word field codec. Every `Word` is a [`Wire`] field, and `-` or
+/// `+<word>` carries it as an `Option`.
+trait Word: Sized {
+    /// What an `Option` parse error says follows the `+`.
+    const SOME: &'static str = "…";
+    fn word(&self, out: &mut String);
+    fn parse(w: &str) -> Result<Self, String>;
+}
+
+impl<T: Word> Wire for T {
+    fn put(v: &T, out: &mut String) {
+        out.push(' ');
+        v.word(out);
+    }
+
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<T, ApiError> {
+        c.parse_with(ex[0], T::parse)
     }
 }
 
-fn dec_opt(word: &str) -> Result<Option<String>, String> {
-    match word.strip_prefix('+') {
-        Some(body) => dec_str(body).map(Some),
-        None if word == "-" => Ok(None),
-        None => Err(format!("expected `-` or `+…`, found `{word}`")),
+impl Word for String {
+    fn word(&self, out: &mut String) {
+        out.push_str(&enc_str(self));
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        dec_str(w)
     }
 }
 
-fn enc_opt_value(v: Option<&Value>) -> String {
-    match v {
-        None => "-".to_string(),
-        Some(v) => format!("+{}", encode_value(v)),
+impl Word for u64 {
+    const SOME: &'static str = "<n>";
+
+    fn word(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        w.parse().map_err(|_| "not a number".to_string())
     }
 }
 
-fn dec_opt_value(word: &str) -> Result<Option<Value>, String> {
-    match word.strip_prefix('+') {
-        Some(body) => decode_value(body).map(Some),
-        None if word == "-" => Ok(None),
-        None => Err(format!("expected `-` or `+…`, found `{word}`")),
+impl Word for Oid {
+    fn word(&self, out: &mut String) {
+        out.push_str(&enc_str(&self.to_string()));
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        dec_str(w)?.parse().map_err(|e: MetaError| e.short_reason())
     }
 }
 
-fn enc_oid(oid: &Oid) -> String {
-    enc_str(&oid.to_string())
+impl Word for Value {
+    fn word(&self, out: &mut String) {
+        out.push_str(&encode_value(self));
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        decode_value(w)
+    }
 }
 
-fn enc_payload(payload: &[u8]) -> String {
-    if payload.is_empty() {
-        "-".to_string()
-    } else {
-        encode_hex(payload)
+/// `0` or `1`.
+impl Word for bool {
+    fn word(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        match w {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err("not 0/1".to_string()),
+        }
+    }
+}
+
+/// Hex bytes, or `-` for none.
+impl Word for Vec<u8> {
+    fn word(&self, out: &mut String) {
+        if self.is_empty() {
+            out.push('-');
+        } else {
+            out.push_str(&encode_hex(self));
+        }
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        if w == "-" {
+            Ok(Vec::new())
+        } else {
+            decode_hex(w)
+        }
+    }
+}
+
+impl<T: Word> Word for Option<T> {
+    fn word(&self, out: &mut String) {
+        match self {
+            None => out.push('-'),
+            Some(v) => {
+                out.push('+');
+                v.word(out);
+            }
+        }
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        match w.strip_prefix('+') {
+            Some(body) => T::parse(body).map(Some),
+            None if w == "-" => Ok(None),
+            None => Err(format!("expected `-` or `+{}`, found `{w}`", T::SOME)),
+        }
+    }
+}
+
+impl Word for Direction {
+    fn word(&self, out: &mut String) {
+        out.push_str(self.as_keyword());
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        w.parse()
+    }
+}
+
+impl Word for TraceMode {
+    fn word(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        match w {
+            "on" => Ok(TraceMode::On),
+            "off" => Ok(TraceMode::Off),
+            "get" => Ok(TraceMode::Get),
+            _ => Err("not on/off/get".to_string()),
+        }
+    }
+}
+
+impl Word for NodeRole {
+    fn word(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(w: &str) -> Result<Self, String> {
+        w.parse()
+    }
+}
+
+/// A count, then the items. `ex` names the count, then the item's words.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(v: &Vec<T>, out: &mut String) {
+        u64::put(&(v.len() as u64), out);
+        for item in v {
+            T::put(item, out);
+        }
+    }
+
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<Vec<T>, ApiError> {
+        let n = u64::take(c, ex)?;
+        // Counts come off the wire: never pre-size from them (a hostile
+        // line could demand a huge allocation before any item parses).
+        let mut items = Vec::new();
+        for _ in 0..n {
+            items.push(T::take(c, &ex[1..])?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put((a, b): &(A, B), out: &mut String) {
+        A::put(a, out);
+        B::put(b, out);
+    }
+
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<(A, B), ApiError> {
+        Ok((A::take(c, &ex[..1])?, B::take(c, &ex[1..])?))
+    }
+}
+
+/// Event, direction, target, then every argument to the end of the line
+/// — field-wise, not the rendered §3.1 wire line: that grammar cannot
+/// carry whitespace inside event names or OID components, but escaped
+/// words can, so every creatable object stays addressable.
+impl Wire for EventMessage {
+    fn put(m: &Self, out: &mut String) {
+        String::put(&m.event, out);
+        Direction::put(&m.direction, out);
+        Oid::put(&m.target, out);
+        for arg in &m.args {
+            String::put(arg, out);
+        }
+    }
+
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<Self, ApiError> {
+        let mut message = EventMessage::new(
+            String::take(c, ex)?,
+            Direction::take(c, &ex[1..])?,
+            Oid::take(c, &ex[2..])?,
+        );
+        while !c.at_end() {
+            message.args.push(String::take(c, &ex[3..])?);
+        }
+        Ok(message)
+    }
+}
+
+/// The trailing `new` of `project <name> [new]`: present or absent.
+struct NewFlag;
+
+impl Wire<bool> for NewFlag {
+    fn put(create: &bool, out: &mut String) {
+        if *create {
+            out.push_str(" new");
+        }
+    }
+
+    fn take(c: &mut Cursor<'_>, ex: &[&str]) -> Result<bool, ApiError> {
+        if c.at_end() {
+            return Ok(false);
+        }
+        c.parse_with(ex[0], |w| match w {
+            "new" => Ok(true),
+            _ => Err("not `new`".to_string()),
+        })
+    }
+}
+
+fn unknown_command(at: u64, found: &str, _expected: &str) -> ApiError {
+    ApiError::UnknownCommand {
+        at,
+        found: found.to_string(),
+    }
+}
+
+fn parse_error(at: u64, found: &str, expected: &str) -> ApiError {
+    ApiError::Parse {
+        at,
+        found: found.to_string(),
+        expected: expected.to_string(),
     }
 }
 
@@ -1143,14 +1587,9 @@ impl<'a> Cursor<'a> {
     /// [`ApiError::Parse`] naming `expected` when the line ran out.
     pub fn next_word(&mut self, expected: &str) -> Result<(usize, &'a str), ApiError> {
         let at_end = self.words.skip_ws();
-        match self.words.next_word() {
-            Some(hit) => Ok(hit),
-            None => Err(ApiError::Parse {
-                at: at_end as u64,
-                found: "end of line".to_string(),
-                expected: expected.to_string(),
-            }),
-        }
+        self.words
+            .next_word()
+            .ok_or_else(|| parse_error(at_end as u64, "end of line", expected))
     }
 
     /// The unconsumed remainder of the line (whitespace-trimmed).
@@ -1170,32 +1609,8 @@ impl<'a> Cursor<'a> {
         parse: impl FnOnce(&str) -> Result<T, String>,
     ) -> Result<T, ApiError> {
         let (at, word) = self.next_word(expected)?;
-        parse(word).map_err(|reason| ApiError::Parse {
-            at: at as u64,
-            found: word.to_string(),
-            expected: format!("{expected} ({reason})"),
-        })
-    }
-
-    fn string(&mut self, expected: &str) -> Result<String, ApiError> {
-        self.parse_with(expected, dec_str)
-    }
-
-    fn u64(&mut self, expected: &str) -> Result<u64, ApiError> {
-        self.parse_with(expected, |w| {
-            w.parse::<u64>().map_err(|_| "not a number".to_string())
-        })
-    }
-
-    fn oid(&mut self, expected: &str) -> Result<Oid, ApiError> {
-        self.parse_with(expected, |w| {
-            let raw = dec_str(w)?;
-            raw.parse::<Oid>().map_err(|e| e.short_reason())
-        })
-    }
-
-    fn value(&mut self, expected: &str) -> Result<Value, ApiError> {
-        self.parse_with(expected, decode_value)
+        parse(word)
+            .map_err(|reason| parse_error(at as u64, word, &format!("{expected} ({reason})")))
     }
 
     /// Whether no word remains on the line.
@@ -1204,839 +1619,10 @@ impl<'a> Cursor<'a> {
     }
 
     fn finish(mut self) -> Result<(), ApiError> {
-        if let Some((at, word)) = self.words.peek_word() {
-            return Err(ApiError::Parse {
-                at: at as u64,
-                found: word.to_string(),
-                expected: "end of line".to_string(),
-            });
+        match self.words.peek_word() {
+            Some((at, word)) => Err(parse_error(at as u64, word, "end of line")),
+            None => Ok(()),
         }
-        Ok(())
-    }
-}
-
-impl Request {
-    /// Renders the canonical single-line form (no trailing newline).
-    ///
-    /// ```
-    /// use blueprint_core::engine::api::Request;
-    ///
-    /// let req = Request::Checkin {
-    ///     block: "CPU".into(),
-    ///     view: "HDL_model".into(),
-    ///     user: "yves".into(),
-    ///     payload: b"module".to_vec(),
-    /// };
-    /// assert_eq!(req.encode(), "checkin CPU HDL_model yves 6d6f64756c65");
-    /// ```
-    pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        match self {
-            Request::Init { source } => format!("init {}", enc_str(source)),
-            Request::Reinit { source } => format!("reinit {}", enc_str(source)),
-            Request::Checkin {
-                block,
-                view,
-                user,
-                payload,
-            } => format!(
-                "checkin {} {} {} {}",
-                enc_str(block),
-                enc_str(view),
-                enc_str(user),
-                enc_payload(payload)
-            ),
-            Request::Checkout { block, view, user } => format!(
-                "checkout {} {} {}",
-                enc_str(block),
-                enc_str(view),
-                enc_str(user)
-            ),
-            Request::CreateObject { oid } => format!("create {}", enc_oid(oid)),
-            Request::Connect { from, to } => {
-                format!("connect {} {}", enc_oid(from), enc_oid(to))
-            }
-            Request::Post { message, user } => {
-                // Field-wise (not the rendered §3.1 wire line): the wire
-                // grammar cannot carry whitespace inside event names or
-                // OID components, but escaped fields can — so every
-                // creatable object stays addressable through the typed
-                // protocol.
-                let mut out = format!(
-                    "post {} {} {} {}",
-                    enc_str(user),
-                    enc_str(&message.event),
-                    message.direction,
-                    enc_oid(&message.target)
-                );
-                for arg in &message.args {
-                    let _ = write!(out, " {}", enc_str(arg));
-                }
-                out
-            }
-            Request::ProcessAll => "process".to_string(),
-            Request::RefreshLets => "refresh".to_string(),
-            Request::Query { terms } => format!("query {}", enc_str(terms)),
-            Request::Show { oid } => format!("show {}", enc_oid(oid)),
-            Request::WorkLeft { oid, prop } => {
-                format!("workleft {} {}", enc_oid(oid), enc_str(prop))
-            }
-            Request::Summary { prop } => format!("summary {}", enc_str(prop)),
-            Request::Snapshot { name, root } => {
-                format!("snapshot {} {}", enc_str(name), enc_oid(root))
-            }
-            Request::ListSnapshots => "snapshots".to_string(),
-            Request::Freeze { view } => format!("freeze {}", enc_str(view)),
-            Request::Thaw { view } => format!("thaw {}", enc_str(view)),
-            Request::EnableJournal { dir, every } => {
-                format!("journal {} {every}", enc_str(dir))
-            }
-            Request::Checkpoint => "checkpoint".to_string(),
-            Request::Recover { dir, every } => format!("recover {} {every}", enc_str(dir)),
-            Request::SaveProject { path } => format!("save {}", enc_str(path)),
-            Request::LoadProject { path } => format!("load {}", enc_str(path)),
-            Request::Dump => "dump".to_string(),
-            Request::Dot => "dot".to_string(),
-            Request::Audit => "audit".to_string(),
-            Request::Stat => "stat".to_string(),
-            Request::SetWaveWorkers { workers } => format!("waveworkers {workers}"),
-            Request::SetRetryPolicy {
-                script,
-                max_retries,
-                base_delay_ms,
-                multiplier,
-                timeout_ms,
-            } => format!(
-                "retry {} {max_retries} {base_delay_ms} {multiplier} {timeout_ms}",
-                enc_opt(script.as_deref())
-            ),
-            Request::PumpInvocations => "pump".to_string(),
-            Request::TailFrom { epoch, seq } => format!("tailfrom {epoch} {seq}"),
-            Request::Promote { dir, every, term } => {
-                format!("promote {} {every} {term}", enc_str(dir))
-            }
-            Request::Fence { term } => format!("fence {term}"),
-            Request::Replay { epoch, seq } => format!("replay {epoch} {seq}"),
-            Request::Trace { mode } => format!("trace {mode}"),
-            Request::Attach { project, create } => {
-                if *create {
-                    format!("project {} new", enc_str(project))
-                } else {
-                    format!("project {}", enc_str(project))
-                }
-            }
-            Request::ListProjects => "projects".to_string(),
-        }
-    }
-
-    /// Parses the canonical single-line form. The codec round-trips
-    /// byte-identically: `decode(encode(r)) == r` and re-encoding a
-    /// decoded line reproduces it (property-tested in
-    /// `tests/api_roundtrip.rs`).
-    ///
-    /// ```
-    /// use blueprint_core::engine::api::Request;
-    ///
-    /// let line = "post simwrap hdl_sim up reg,verilog,4 logic%20sim%20passed";
-    /// let req = Request::decode(line).unwrap();
-    /// assert_eq!(req.encode(), line);
-    /// assert!(matches!(req, Request::Post { user, .. } if user == "simwrap"));
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ApiError::Parse`] (with byte offset, found token and expectation)
-    /// or [`ApiError::UnknownCommand`].
-    pub fn decode(line: &str) -> Result<Request, ApiError> {
-        let mut c = Cursor::new(line);
-        let (at, keyword) = c.next_word("a request keyword")?;
-        let req = match keyword {
-            "init" => Request::Init {
-                source: c.string("the blueprint source (escaped)")?,
-            },
-            "reinit" => Request::Reinit {
-                source: c.string("the blueprint source (escaped)")?,
-            },
-            "checkin" => Request::Checkin {
-                block: c.string("a block name")?,
-                view: c.string("a view type")?,
-                user: c.string("a user name")?,
-                payload: c.parse_with("a hex payload or `-`", |w| {
-                    if w == "-" {
-                        Ok(Vec::new())
-                    } else {
-                        decode_hex(w)
-                    }
-                })?,
-            },
-            "checkout" => Request::Checkout {
-                block: c.string("a block name")?,
-                view: c.string("a view type")?,
-                user: c.string("a user name")?,
-            },
-            "create" => Request::CreateObject {
-                oid: c.oid("an OID `block,view,version`")?,
-            },
-            "connect" => Request::Connect {
-                from: c.oid("a source OID")?,
-                to: c.oid("a destination OID")?,
-            },
-            "post" => {
-                let user = c.string("a user name")?;
-                let event = c.string("an event name")?;
-                let direction: damocles_meta::Direction =
-                    c.parse_with("a direction (`up` or `down`)", |w| w.parse())?;
-                let target = c.oid("a target OID")?;
-                let mut message = EventMessage::new(event, direction, target);
-                while !c.at_end() {
-                    message = message.with_arg(c.string("an argument")?);
-                }
-                Request::Post { message, user }
-            }
-            "process" => Request::ProcessAll,
-            "refresh" => Request::RefreshLets,
-            "query" => Request::Query {
-                terms: c.string("query terms (escaped)")?,
-            },
-            "show" => Request::Show {
-                oid: c.oid("an OID `block,view,version`")?,
-            },
-            "workleft" => Request::WorkLeft {
-                oid: c.oid("an OID `block,view,version`")?,
-                prop: c.string("a state property name")?,
-            },
-            "summary" => Request::Summary {
-                prop: c.string("a state property name")?,
-            },
-            "snapshot" => Request::Snapshot {
-                name: c.string("a configuration name")?,
-                root: c.oid("a root OID")?,
-            },
-            "snapshots" => Request::ListSnapshots,
-            "freeze" => Request::Freeze {
-                view: c.string("a view name")?,
-            },
-            "thaw" => Request::Thaw {
-                view: c.string("a view name")?,
-            },
-            "journal" => Request::EnableJournal {
-                dir: c.string("a directory path")?,
-                every: c.u64("a checkpoint interval")?,
-            },
-            "checkpoint" => Request::Checkpoint,
-            "recover" => Request::Recover {
-                dir: c.string("a directory path")?,
-                every: c.u64("a checkpoint interval")?,
-            },
-            "save" => Request::SaveProject {
-                path: c.string("a file path")?,
-            },
-            "load" => Request::LoadProject {
-                path: c.string("a file path")?,
-            },
-            "dump" => Request::Dump,
-            "dot" => Request::Dot,
-            "audit" => Request::Audit,
-            "stat" => Request::Stat,
-            "waveworkers" => Request::SetWaveWorkers {
-                workers: c.u64("a worker count")?,
-            },
-            "retry" => Request::SetRetryPolicy {
-                script: c.parse_with("a script (`-` = default policy)", dec_opt)?,
-                max_retries: c.u64("a retry count")?,
-                base_delay_ms: c.u64("a base delay (ms)")?,
-                multiplier: c.u64("a backoff multiplier")?,
-                timeout_ms: c.u64("a per-attempt timeout (ms)")?,
-            },
-            "pump" => Request::PumpInvocations,
-            "tailfrom" => Request::TailFrom {
-                epoch: c.u64("a checkpoint epoch")?,
-                seq: c.u64("a record sequence number")?,
-            },
-            "promote" => Request::Promote {
-                dir: c.string("a directory path")?,
-                every: c.u64("a checkpoint interval")?,
-                term: c.u64("a leadership term")?,
-            },
-            "fence" => Request::Fence {
-                term: c.u64("a leadership term")?,
-            },
-            "replay" => Request::Replay {
-                epoch: c.u64("a checkpoint epoch")?,
-                seq: c.u64("a journal cursor sequence")?,
-            },
-            "trace" => Request::Trace {
-                mode: c.parse_with("a trace mode (`on`, `off` or `get`)", |w| match w {
-                    "on" => Ok(TraceMode::On),
-                    "off" => Ok(TraceMode::Off),
-                    "get" => Ok(TraceMode::Get),
-                    _ => Err("not on/off/get".to_string()),
-                })?,
-            },
-            "project" => {
-                let project = c.string("a project name")?;
-                let create = if c.at_end() {
-                    false
-                } else {
-                    c.parse_with("`new` or end of line", |w| match w {
-                        "new" => Ok(true),
-                        _ => Err("not `new`".to_string()),
-                    })?
-                };
-                Request::Attach { project, create }
-            }
-            "projects" => Request::ListProjects,
-            other => {
-                return Err(ApiError::UnknownCommand {
-                    at: at as u64,
-                    found: other.to_string(),
-                })
-            }
-        };
-        c.finish()?;
-        Ok(req)
-    }
-}
-
-impl Response {
-    /// Renders the canonical single-line form (no trailing newline).
-    ///
-    /// ```
-    /// use blueprint_core::engine::api::{ApiError, Response};
-    ///
-    /// let resp = Response::Error(ApiError::ReadOnly {
-    ///     leader: "10.0.0.7:7425".into(),
-    /// });
-    /// assert_eq!(resp.encode(), "err read-only 10.0.0.7:7425");
-    /// ```
-    pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        match self {
-            Response::Ok => "ok".to_string(),
-            Response::Blueprint { name } => format!("blueprint {}", enc_str(name)),
-            Response::Created { oid } => format!("created {}", enc_oid(oid)),
-            Response::Processed {
-                events,
-                deliveries,
-                scripts,
-                emitted,
-            } => format!("processed {events} {deliveries} {scripts} {emitted}"),
-            Response::Refreshed { written } => format!("refreshed {written}"),
-            Response::Props { oid, props } => {
-                let mut out = format!("props {} {}", enc_oid(oid), props.len());
-                for (name, value) in props {
-                    let _ = write!(out, " {} {}", enc_str(name), encode_value(value));
-                }
-                out
-            }
-            Response::Hits { oids } => {
-                let mut out = format!("hits {}", oids.len());
-                for oid in oids {
-                    let _ = write!(out, " {}", enc_oid(oid));
-                }
-                out
-            }
-            Response::Work { target, items } => {
-                let mut out = format!("work {} {}", enc_oid(target), items.len());
-                for item in items {
-                    let _ = write!(
-                        out,
-                        " {} {} {}",
-                        enc_oid(&item.oid),
-                        enc_str(&item.prop),
-                        enc_opt_value(item.current.as_ref())
-                    );
-                }
-                out
-            }
-            Response::ViewSummary { rows } => {
-                let mut out = format!("viewsummary {}", rows.len());
-                for r in rows {
-                    let _ = write!(
-                        out,
-                        " {} {} {} {}",
-                        enc_str(&r.view),
-                        r.total,
-                        r.satisfied,
-                        r.untracked
-                    );
-                }
-                out
-            }
-            Response::Snapped { name, oids } => {
-                format!("snapped {} {oids}", enc_str(name))
-            }
-            Response::SnapshotList { entries } => {
-                let mut out = format!("snaplist {}", entries.len());
-                for e in entries {
-                    let _ = write!(
-                        out,
-                        " {} {} {} {}",
-                        enc_str(&e.name),
-                        e.oids,
-                        e.links,
-                        e.dangling
-                    );
-                }
-                out
-            }
-            Response::Epoch { epoch } => format!("epoch {epoch}"),
-            Response::Recovered {
-                epoch,
-                snapshot_oids,
-                replayed_ops,
-                torn_tail,
-                stale_journal,
-            } => format!(
-                "recovered {epoch} {snapshot_oids} {replayed_ops} {} {}",
-                enc_opt(torn_tail.as_deref()),
-                u8::from(*stale_journal)
-            ),
-            Response::Loaded { oids } => format!("loaded {oids}"),
-            Response::Text { text } => format!("text {}", enc_str(text)),
-            Response::Audit { counters } => format!(
-                "audit {} {} {} {} {} {} {} {} {} {} {} {}",
-                counters.deliveries,
-                counters.assignments,
-                counters.reevaluations,
-                counters.scripts,
-                counters.posts,
-                counters.propagations,
-                counters.cycle_skips,
-                counters.depth_truncations,
-                counters.templates,
-                counters.invoke_retries,
-                counters.invoke_timeouts,
-                counters.invoke_exhaustions
-            ),
-            Response::Stat { stat } => format!(
-                "stat {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-                stat.oids,
-                stat.links,
-                stat.pending_events,
-                stat.journal_epoch
-                    .map_or_else(|| "-".to_string(), |e| format!("+{e}")),
-                stat.journal_records
-                    .map_or_else(|| "-".to_string(), |r| format!("+{r}")),
-                stat.wave_workers,
-                stat.pending_invocations,
-                stat.running_invocations,
-                stat.retrying_invocations,
-                stat.failed_invocations,
-                stat.cursor_epoch,
-                stat.cursor_seq,
-                stat.active_projects,
-                stat.resident_projects,
-                stat.activations,
-                stat.evictions,
-                stat.term,
-                stat.role,
-            ),
-            Response::Promoted { epoch, term } => format!("promoted {epoch} {term}"),
-            Response::Tailing { epoch, seq } => format!("tailing {epoch} {seq}"),
-            Response::Replayed {
-                epoch,
-                seq,
-                oids,
-                image,
-            } => format!("replayed {epoch} {seq} {oids} {}", enc_str(image)),
-            Response::Trace { records } => {
-                let mut out = format!("trace {}", records.len());
-                for rec in records {
-                    let _ = write!(out, " {}", enc_str(rec));
-                }
-                out
-            }
-            Response::Attached { project, created } => {
-                format!("attached {} {}", enc_str(project), u8::from(*created))
-            }
-            Response::Projects { entries } => {
-                let mut out = format!("projects {}", entries.len());
-                for e in entries {
-                    let _ = write!(out, " {} {}", enc_str(&e.name), u8::from(e.active));
-                }
-                out
-            }
-            Response::Error(e) => format!("err {}", e.encode()),
-        }
-    }
-
-    /// Parses the canonical single-line form.
-    ///
-    /// ```
-    /// use blueprint_core::engine::api::Response;
-    ///
-    /// match Response::decode("processed 2 3 1 0").unwrap() {
-    ///     Response::Processed { events, .. } => assert_eq!(events, 2),
-    ///     other => panic!("{other:?}"),
-    /// }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ApiError::Parse`] with byte offset, found token and expectation.
-    pub fn decode(line: &str) -> Result<Response, ApiError> {
-        let mut c = Cursor::new(line);
-        let (at, keyword) = c.next_word("a response keyword")?;
-        let opt_u64 = |w: &str| -> Result<Option<u64>, String> {
-            match w.strip_prefix('+') {
-                Some(n) => n
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| "not a number".to_string()),
-                None if w == "-" => Ok(None),
-                None => Err(format!("expected `-` or `+<n>`, found `{w}`")),
-            }
-        };
-        let resp = match keyword {
-            "ok" => Response::Ok,
-            "blueprint" => Response::Blueprint {
-                name: c.string("a blueprint name")?,
-            },
-            "created" => Response::Created {
-                oid: c.oid("an OID")?,
-            },
-            "processed" => Response::Processed {
-                events: c.u64("an event count")?,
-                deliveries: c.u64("a delivery count")?,
-                scripts: c.u64("a script count")?,
-                emitted: c.u64("an emitted count")?,
-            },
-            "refreshed" => Response::Refreshed {
-                written: c.u64("a write count")?,
-            },
-            "props" => {
-                let oid = c.oid("an OID")?;
-                let n = c.u64("a property count")?;
-                // Counts come off the wire: never pre-size from them (a
-                // hostile line could demand a huge allocation before any
-                // element parses). Same for every repeated group below.
-                let mut props = Vec::new();
-                for _ in 0..n {
-                    let name = c.string("a property name")?;
-                    let value = c.value("a tagged value")?;
-                    props.push((name, value));
-                }
-                Response::Props { oid, props }
-            }
-            "hits" => {
-                let n = c.u64("a hit count")?;
-                let mut oids = Vec::new();
-                for _ in 0..n {
-                    oids.push(c.oid("an OID")?);
-                }
-                Response::Hits { oids }
-            }
-            "work" => {
-                let target = c.oid("the target OID")?;
-                let n = c.u64("an item count")?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(WorkLeftItem {
-                        oid: c.oid("an OID")?,
-                        prop: c.string("a property name")?,
-                        current: c.parse_with("an optional value", dec_opt_value)?,
-                    });
-                }
-                Response::Work { target, items }
-            }
-            "viewsummary" => {
-                let n = c.u64("a row count")?;
-                let mut rows = Vec::new();
-                for _ in 0..n {
-                    rows.push(SummaryRow {
-                        view: c.string("a view name")?,
-                        total: c.u64("a total")?,
-                        satisfied: c.u64("a satisfied count")?,
-                        untracked: c.u64("an untracked count")?,
-                    });
-                }
-                Response::ViewSummary { rows }
-            }
-            "snapped" => Response::Snapped {
-                name: c.string("a configuration name")?,
-                oids: c.u64("an OID count")?,
-            },
-            "snaplist" => {
-                let n = c.u64("an entry count")?;
-                let mut entries = Vec::new();
-                for _ in 0..n {
-                    entries.push(SnapshotInfo {
-                        name: c.string("a configuration name")?,
-                        oids: c.u64("an OID count")?,
-                        links: c.u64("a link count")?,
-                        dangling: c.u64("a dangling count")?,
-                    });
-                }
-                Response::SnapshotList { entries }
-            }
-            "epoch" => Response::Epoch {
-                epoch: c.u64("an epoch")?,
-            },
-            "recovered" => Response::Recovered {
-                epoch: c.u64("an epoch")?,
-                snapshot_oids: c.u64("a snapshot OID count")?,
-                replayed_ops: c.u64("a replayed-op count")?,
-                torn_tail: c.parse_with("an optional torn-tail reason", dec_opt)?,
-                stale_journal: c.parse_with("a stale flag (0/1)", |w| match w {
-                    "0" => Ok(false),
-                    "1" => Ok(true),
-                    _ => Err("not 0/1".to_string()),
-                })?,
-            },
-            "loaded" => Response::Loaded {
-                oids: c.u64("an OID count")?,
-            },
-            "text" => Response::Text {
-                text: c.string("a text artifact (escaped)")?,
-            },
-            "audit" => Response::Audit {
-                counters: AuditCounters {
-                    deliveries: c.u64("deliveries")?,
-                    assignments: c.u64("assignments")?,
-                    reevaluations: c.u64("reevaluations")?,
-                    scripts: c.u64("scripts")?,
-                    posts: c.u64("posts")?,
-                    propagations: c.u64("propagations")?,
-                    cycle_skips: c.u64("cycle skips")?,
-                    depth_truncations: c.u64("depth truncations")?,
-                    templates: c.u64("templates")?,
-                    invoke_retries: c.u64("invoke retries")?,
-                    invoke_timeouts: c.u64("invoke timeouts")?,
-                    invoke_exhaustions: c.u64("invoke exhaustions")?,
-                },
-            },
-            "stat" => Response::Stat {
-                stat: ServerStat {
-                    oids: c.u64("an OID count")?,
-                    links: c.u64("a link count")?,
-                    pending_events: c.u64("a pending-event count")?,
-                    journal_epoch: c.parse_with("an optional epoch", opt_u64)?,
-                    journal_records: c.parse_with("an optional record count", opt_u64)?,
-                    wave_workers: c.u64("a wave worker count")?,
-                    pending_invocations: c.u64("a pending-invocation count")?,
-                    running_invocations: c.u64("a running-invocation count")?,
-                    retrying_invocations: c.u64("a retrying-invocation count")?,
-                    failed_invocations: c.u64("a failed-invocation count")?,
-                    cursor_epoch: c.u64("a cursor epoch")?,
-                    cursor_seq: c.u64("a cursor sequence")?,
-                    active_projects: c.u64("an active-project count")?,
-                    resident_projects: c.u64("a resident-project count")?,
-                    activations: c.u64("an activation count")?,
-                    evictions: c.u64("an eviction count")?,
-                    term: c.u64("a leadership term")?,
-                    role: c.parse_with("a role (leader/follower)", |w| w.parse())?,
-                },
-            },
-            "promoted" => Response::Promoted {
-                epoch: c.u64("an epoch")?,
-                term: c.u64("a leadership term")?,
-            },
-            "tailing" => Response::Tailing {
-                epoch: c.u64("a checkpoint epoch")?,
-                seq: c.u64("a record sequence number")?,
-            },
-            "replayed" => Response::Replayed {
-                epoch: c.u64("a checkpoint epoch")?,
-                seq: c.u64("a journal cursor sequence")?,
-                oids: c.u64("an OID count")?,
-                image: c.string("a project image (escaped)")?,
-            },
-            "trace" => {
-                let n = c.u64("a record count")?;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(c.string("an encoded trace record")?);
-                }
-                Response::Trace { records }
-            }
-            "attached" => Response::Attached {
-                project: c.string("a project name")?,
-                created: c.parse_with("a created flag (0/1)", |w| match w {
-                    "0" => Ok(false),
-                    "1" => Ok(true),
-                    _ => Err("not 0/1".to_string()),
-                })?,
-            },
-            "projects" => {
-                let n = c.u64("an entry count")?;
-                let mut entries = Vec::new();
-                for _ in 0..n {
-                    entries.push(ProjectEntry {
-                        name: c.string("a project name")?,
-                        active: c.parse_with("an active flag (0/1)", |w| match w {
-                            "0" => Ok(false),
-                            "1" => Ok(true),
-                            _ => Err("not 0/1".to_string()),
-                        })?,
-                    });
-                }
-                Response::Projects { entries }
-            }
-            "err" => Response::Error(ApiError::decode_cursor(&mut c)?),
-            other => {
-                return Err(ApiError::Parse {
-                    at: at as u64,
-                    found: other.to_string(),
-                    expected: "a response keyword".to_string(),
-                })
-            }
-        };
-        c.finish()?;
-        Ok(resp)
-    }
-}
-
-impl ApiError {
-    /// Renders the error's wire words (the part after `err `).
-    fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        match self {
-            ApiError::Parse {
-                at,
-                found,
-                expected,
-            } => format!("parse {at} {} {}", enc_str(found), enc_str(expected)),
-            ApiError::UnknownCommand { at, found } => {
-                format!("unknown-command {at} {}", enc_str(found))
-            }
-            ApiError::NoProject => "no-project".to_string(),
-            ApiError::UnknownOid { oid } => format!("unknown-oid {}", enc_oid(oid)),
-            ApiError::DuplicateOid { oid } => format!("duplicate-oid {}", enc_oid(oid)),
-            ApiError::CheckoutConflict { oid, holder } => format!(
-                "checkout-conflict {} {}",
-                enc_oid(oid),
-                enc_opt(holder.as_deref())
-            ),
-            ApiError::FrozenView { view } => format!("frozen-view {}", enc_str(view)),
-            ApiError::Policy { detail } => format!("policy {}", enc_str(detail)),
-            ApiError::InvalidBlueprint { issues } => {
-                let mut out = format!("invalid-blueprint {}", issues.len());
-                for issue in issues {
-                    let _ = write!(out, " {}", enc_str(issue));
-                }
-                out
-            }
-            ApiError::BlueprintSyntax { message } => {
-                format!("blueprint-syntax {}", enc_str(message))
-            }
-            ApiError::Runaway { processed } => format!("runaway {processed}"),
-            ApiError::Journal { reason } => format!("journal {}", enc_str(reason)),
-            ApiError::InvocationFailed {
-                script,
-                attempts,
-                reason,
-            } => format!(
-                "invocation-failed {} {attempts} {}",
-                enc_str(script),
-                enc_str(reason)
-            ),
-            ApiError::Meta { reason } => format!("meta {}", enc_str(reason)),
-            ApiError::Io { reason } => format!("io {}", enc_str(reason)),
-            ApiError::ReadOnly { leader } => format!("read-only {}", enc_str(leader)),
-            ApiError::Lagging { epoch, seq } => format!("lagging {epoch} {seq}"),
-            ApiError::StaleTerm { term, current } => format!("stale-term {term} {current}"),
-            ApiError::NotAttached => "not-attached".to_string(),
-            ApiError::NoSuchProject { project } => {
-                format!("no-such-project {}", enc_str(project))
-            }
-            ApiError::ProjectBusy { project } => {
-                format!("project-busy {}", enc_str(project))
-            }
-            ApiError::ProjectPoisoned { project } => {
-                format!("project-poisoned {}", enc_str(project))
-            }
-            ApiError::NoFleet => "no-fleet".to_string(),
-        }
-    }
-
-    fn decode_cursor(c: &mut Cursor<'_>) -> Result<ApiError, ApiError> {
-        let (at, kind) = c.next_word("an error kind")?;
-        Ok(match kind {
-            "parse" => ApiError::Parse {
-                at: c.u64("a byte offset")?,
-                found: c.string("the found token")?,
-                expected: c.string("the expectation")?,
-            },
-            "unknown-command" => ApiError::UnknownCommand {
-                at: c.u64("a byte offset")?,
-                found: c.string("the found token")?,
-            },
-            "no-project" => ApiError::NoProject,
-            "unknown-oid" => ApiError::UnknownOid {
-                oid: c.oid("an OID")?,
-            },
-            "duplicate-oid" => ApiError::DuplicateOid {
-                oid: c.oid("an OID")?,
-            },
-            "checkout-conflict" => ApiError::CheckoutConflict {
-                oid: c.oid("an OID")?,
-                holder: c.parse_with("an optional holder", dec_opt)?,
-            },
-            "frozen-view" => ApiError::FrozenView {
-                view: c.string("a view name")?,
-            },
-            "policy" => ApiError::Policy {
-                detail: c.string("a violation rendering")?,
-            },
-            "invalid-blueprint" => {
-                let n = c.u64("an issue count")?;
-                let mut issues = Vec::new();
-                for _ in 0..n {
-                    issues.push(c.string("an issue rendering")?);
-                }
-                ApiError::InvalidBlueprint { issues }
-            }
-            "blueprint-syntax" => ApiError::BlueprintSyntax {
-                message: c.string("a parse-error rendering")?,
-            },
-            "runaway" => ApiError::Runaway {
-                processed: c.u64("an event count")?,
-            },
-            "journal" => ApiError::Journal {
-                reason: c.string("a reason")?,
-            },
-            "invocation-failed" => ApiError::InvocationFailed {
-                script: c.string("a script name")?,
-                attempts: c.u64("an attempt count")?,
-                reason: c.string("a reason")?,
-            },
-            "meta" => ApiError::Meta {
-                reason: c.string("a reason")?,
-            },
-            "io" => ApiError::Io {
-                reason: c.string("a reason")?,
-            },
-            "read-only" => ApiError::ReadOnly {
-                leader: c.string("a leader address")?,
-            },
-            "lagging" => ApiError::Lagging {
-                epoch: c.u64("a checkpoint epoch")?,
-                seq: c.u64("a record sequence number")?,
-            },
-            "stale-term" => ApiError::StaleTerm {
-                term: c.u64("a stale term")?,
-                current: c.u64("the current term")?,
-            },
-            "not-attached" => ApiError::NotAttached,
-            "no-such-project" => ApiError::NoSuchProject {
-                project: c.string("a project name")?,
-            },
-            "project-busy" => ApiError::ProjectBusy {
-                project: c.string("a project name")?,
-            },
-            "project-poisoned" => ApiError::ProjectPoisoned {
-                project: c.string("a project name")?,
-            },
-            "no-fleet" => ApiError::NoFleet,
-            other => {
-                return Err(ApiError::Parse {
-                    at: at as u64,
-                    found: other.to_string(),
-                    expected: "an error kind".to_string(),
-                })
-            }
-        })
     }
 }
 
@@ -2128,6 +1714,61 @@ mod tests {
                 create: true,
             },
             Request::ListProjects,
+            Request::Reinit {
+                source: String::new(),
+            },
+            Request::Checkout {
+                block: "CPU".into(),
+                view: "layout".into(),
+                user: "ann".into(),
+            },
+            Request::CreateObject {
+                oid: Oid::new("cpu", "schematic", 1),
+            },
+            Request::Connect {
+                from: Oid::new("cpu", "schematic", 1),
+                to: Oid::new("cpu", "netlist", 2),
+            },
+            Request::Post {
+                message: EventMessage::new("ckin", Direction::Down, Oid::new("alu", "layout", 3)),
+                user: "ann".into(),
+            },
+            Request::RefreshLets,
+            Request::Show {
+                oid: Oid::new("cpu", "schematic", 1),
+            },
+            Request::WorkLeft {
+                oid: Oid::new("cpu", "netlist", 2),
+                prop: "uptodate".into(),
+            },
+            Request::Summary {
+                prop: "uptodate".into(),
+            },
+            Request::Snapshot {
+                name: "tape out".into(),
+                root: Oid::new("cpu", "netlist", 2),
+            },
+            Request::ListSnapshots,
+            Request::Freeze {
+                view: "layout".into(),
+            },
+            Request::Thaw {
+                view: "layout".into(),
+            },
+            Request::Checkpoint,
+            Request::Recover {
+                dir: "dura".into(),
+                every: 64,
+            },
+            Request::SaveProject {
+                path: "/tmp/p.img".into(),
+            },
+            Request::LoadProject {
+                path: "/tmp/p.img".into(),
+            },
+            Request::Dump,
+            Request::Dot,
+            Request::Audit,
         ]
     }
 
@@ -2251,6 +1892,112 @@ mod tests {
                 project: "fpga".into(),
             }),
             Response::Error(ApiError::NoFleet),
+            Response::Blueprint {
+                name: "edtc".into(),
+            },
+            Response::Processed {
+                events: 2,
+                deliveries: 3,
+                scripts: 1,
+                emitted: 0,
+            },
+            Response::Refreshed { written: 4 },
+            Response::Hits {
+                oids: vec![Oid::new("a", "v", 1), Oid::new("b", "v", 2)],
+            },
+            Response::ViewSummary {
+                rows: vec![SummaryRow {
+                    view: "layout".into(),
+                    total: 5,
+                    satisfied: 3,
+                    untracked: 1,
+                }],
+            },
+            Response::Snapped {
+                name: "tape out".into(),
+                oids: 12,
+            },
+            Response::SnapshotList {
+                entries: vec![SnapshotInfo {
+                    name: "tape out".into(),
+                    oids: 12,
+                    links: 11,
+                    dangling: 0,
+                }],
+            },
+            Response::Epoch { epoch: 3 },
+            Response::Loaded { oids: 40 },
+            Response::Text {
+                text: "digraph {\n}".into(),
+            },
+            Response::Audit {
+                counters: AuditCounters {
+                    deliveries: 1,
+                    assignments: 2,
+                    reevaluations: 3,
+                    scripts: 4,
+                    posts: 5,
+                    propagations: 6,
+                    cycle_skips: 7,
+                    depth_truncations: 8,
+                    templates: 9,
+                    invoke_retries: 10,
+                    invoke_timeouts: 11,
+                    invoke_exhaustions: 12,
+                },
+            },
+            Response::Recovered {
+                epoch: 1,
+                snapshot_oids: 0,
+                replayed_ops: 0,
+                torn_tail: None,
+                stale_journal: true,
+            },
+            Response::Work {
+                target: Oid::new("cpu", "netlist", 1),
+                items: vec![WorkLeftItem {
+                    oid: Oid::new("cpu", "layout", 1),
+                    prop: "drc".into(),
+                    current: Some(Value::Str("bad".into())),
+                }],
+            },
+            Response::Error(ApiError::UnknownCommand {
+                at: 0,
+                found: "frob".into(),
+            }),
+            Response::Error(ApiError::NoProject),
+            Response::Error(ApiError::UnknownOid {
+                oid: Oid::new("a", "v", 9),
+            }),
+            Response::Error(ApiError::DuplicateOid {
+                oid: Oid::new("a", "v", 1),
+            }),
+            Response::Error(ApiError::CheckoutConflict {
+                oid: Oid::new("a", "v", 1),
+                holder: None,
+            }),
+            Response::Error(ApiError::FrozenView {
+                view: "layout".into(),
+            }),
+            Response::Error(ApiError::Policy {
+                detail: "no checkin after signoff".into(),
+            }),
+            Response::Error(ApiError::InvalidBlueprint {
+                issues: vec!["unknown view `x`".into(), "duplicate rule".into()],
+            }),
+            Response::Error(ApiError::BlueprintSyntax {
+                message: "line 3: expected `endview`".into(),
+            }),
+            Response::Error(ApiError::Runaway { processed: 50 }),
+            Response::Error(ApiError::Journal {
+                reason: "disk full".into(),
+            }),
+            Response::Error(ApiError::Meta {
+                reason: "bad link".into(),
+            }),
+            Response::Error(ApiError::Io {
+                reason: "no such file".into(),
+            }),
         ]
     }
 
@@ -2272,6 +2019,64 @@ mod tests {
             assert_eq!(back, resp, "`{line}`");
             assert_eq!(back.encode(), line, "canonical re-encode of `{line}`");
         }
+    }
+
+    /// What `decode` makes of malformed copies of every sample's encoding,
+    /// one `req|resp <tab> input <tab> outcome` line each: the outcome is
+    /// `= <re-encoding>` or `! <err line>`. The inputs are each word-boundary
+    /// cut, one extra trailing word, and each word replaced by a few bad
+    /// tokens. Duplicate inputs are listed once.
+    fn decode_diagnostics() -> String {
+        use std::fmt::Write as _;
+        fn outcome<T>(decoded: Result<T, ApiError>, encode: impl Fn(&T) -> String) -> String {
+            match decoded {
+                Ok(v) => format!("= {}", encode(&v)),
+                Err(e) => format!("! {}", Response::Error(e).encode()),
+            }
+        }
+        let lines = sample_requests()
+            .iter()
+            .map(|r| ("req", r.encode()))
+            .chain(sample_responses().iter().map(|r| ("resp", r.encode())))
+            .collect::<Vec<_>>();
+        let mut seen = std::collections::HashSet::new();
+        let mut out = String::new();
+        for (kind, line) in lines {
+            let words: Vec<&str> = line.split(' ').collect();
+            let mut inputs: Vec<String> = (0..words.len()).map(|k| words[..k].join(" ")).collect();
+            inputs.push(format!("{line} x"));
+            for i in 0..words.len() {
+                for bad in ["@", "+x", "x,y", "%zz", "-1"] {
+                    let mut bent = words.clone();
+                    bent[i] = bad;
+                    inputs.push(bent.join(" "));
+                }
+            }
+            for input in inputs {
+                if !seen.insert((kind, input.clone())) {
+                    continue;
+                }
+                let result = if kind == "req" {
+                    outcome(Request::decode(&input), Request::encode)
+                } else {
+                    outcome(Response::decode(&input), Response::encode)
+                };
+                let _ = writeln!(out, "{kind}\t{input}\t{result}");
+            }
+        }
+        out
+    }
+
+    /// The decoder's diagnostics are part of the wire contract: the fixture
+    /// pins every position, found token and expectation.
+    #[test]
+    fn decode_diagnostics_match_the_fixture() {
+        let fixture = include_str!("../../tests/fixtures/api_decode_diagnostics.txt");
+        let got = decode_diagnostics();
+        for (n, (got, want)) in got.lines().zip(fixture.lines()).enumerate() {
+            assert_eq!(got, want, "fixture line {}", n + 1);
+        }
+        assert_eq!(got.lines().count(), fixture.lines().count());
     }
 
     #[test]

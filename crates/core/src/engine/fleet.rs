@@ -83,7 +83,7 @@ use crate::engine::compile::CompiledBlueprint;
 use crate::engine::exec::ScriptExecutor;
 use crate::engine::server::{ProjectServer, SNAPSHOT_FILE};
 use crate::engine::service::{
-    loop_gone, Envelope, ProjectService, RequestSink, MAX_GROUP_COMMIT_WINDOW,
+    form_batch, loop_gone, send_settled, settle_window, Envelope, ProjectService, RequestSink,
 };
 use crate::lang::ast::Blueprint;
 use crate::lang::{parser, validate};
@@ -981,8 +981,7 @@ where
                     for svc in resident.values_mut() {
                         if svc.invocations_in_flight() > 0 {
                             let _ = svc.call(Request::PumpInvocations);
-                            let _ = svc.flush();
-                            let _ = svc.take_journal_poisoned();
+                            let _ = settle_window(svc);
                         }
                     }
                     continue;
@@ -995,18 +994,7 @@ where
                 None => break,
             }
         };
-        // Same adaptive group-commit window as the single-project loop:
-        // the backlog at batch formation is the batch.
-        let window = rx.len().saturating_add(1).clamp(1, MAX_GROUP_COMMIT_WINDOW);
-        let mut batch = Vec::with_capacity(window);
-        batch.push(first);
-        while batch.len() < window {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        for msg in batch {
+        for msg in form_batch(first, rx) {
             match msg {
                 WorkerMsg::Execute { project, env } => {
                     execute(
@@ -1166,10 +1154,9 @@ where
     shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Settles one project's slice of the pending window: flush, consume the
-/// poison marker, and send the replies — downgrading acked mutations
-/// when the flush failed (or the service is gone entirely, the panic
-/// path), exactly mirroring the single-project loop's `settle`.
+/// Settles one project's slice of the pending window by the
+/// single-project loop's rule ([`settle_window`]); a service that is gone
+/// entirely (the panic path) fails its window as poisoned.
 fn settle_project<E>(
     resident: &mut HashMap<String, ProjectService<E>>,
     pending: &mut Vec<PendingReply>,
@@ -1178,35 +1165,20 @@ fn settle_project<E>(
     E: ScriptExecutor + Default,
 {
     let error = match resident.get_mut(project) {
-        Some(svc) => {
-            let flushed = svc.flush();
-            let poisoned = svc.take_journal_poisoned();
-            match flushed {
-                Err(e) => Some(ApiError::from(e)),
-                Ok(()) if poisoned => Some(ApiError::Journal {
-                    reason: "durability was disabled mid-batch; the batch is not on stable storage"
-                        .to_string(),
-                }),
-                Ok(()) => None,
-            }
-        }
+        Some(svc) => settle_window(svc),
         None => Some(ApiError::ProjectPoisoned {
             project: project.to_string(),
         }),
     };
-    let mut keep = Vec::with_capacity(pending.len());
-    for (owner, reply, mutating, resp) in pending.drain(..) {
-        if owner != project {
-            keep.push((owner, reply, mutating, resp));
-            continue;
-        }
-        let resp = match &error {
-            Some(err) if mutating && !resp.is_error() => Response::Error(err.clone()),
-            _ => resp,
-        };
-        let _ = reply.send(resp);
-    }
+    let (mine, keep): (Vec<_>, Vec<_>) = std::mem::take(pending)
+        .into_iter()
+        .partition(|(owner, ..)| owner == project);
     *pending = keep;
+    send_settled(
+        mine.into_iter()
+            .map(|(_, reply, mutating, resp)| (reply, mutating, resp)),
+        error.as_ref(),
+    );
 }
 
 /// Patches the fleet gauges onto a `stat` reply (a project service

@@ -16,7 +16,7 @@
 //!   append+fsync, and only then replied to** — the group-commit point
 //!   the ROADMAP asked for. A reply in hand means the effect is durable
 //!   (when journaling is enabled), yet the fsync cost is amortized over
-//!   up to `max_batch` requests.
+//!   every request queued when the batch formed.
 //! * [`serve_listener`] — a minimal line-framed TCP front door: one
 //!   request line in, one response line out, in the [`Request`] /
 //!   [`Response`] text codec (raw §3.1 `postEvent` lines are accepted
@@ -709,11 +709,10 @@ pub(crate) fn loop_gone() -> ApiError {
     }
 }
 
-/// Ceiling of the *adaptive* group-commit window: under a sustained
+/// Ceiling of the adaptive group-commit window: under a sustained
 /// burst, one journal append+fsync never covers more than this many
 /// requests, bounding both reply latency and the batch a crash can
-/// lose. An explicit window passed to the `*_with_window` measurement
-/// seam is honored as given and not subject to this ceiling.
+/// lose.
 pub const MAX_GROUP_COMMIT_WINDOW: usize = 1024;
 
 /// How often an otherwise-idle command loop wakes to absorb finished
@@ -729,31 +728,16 @@ const INVOKE_PUMP: std::time::Duration = std::time::Duration::from_millis(25);
 /// what is queued at formation time (bounded by
 /// [`MAX_GROUP_COMMIT_WINDOW`]), so an idle connection pays one fsync of
 /// latency per request while a burst amortizes one fsync across the
-/// whole backlog — no tuning knob to set wrong. Harnesses that must
-/// measure a *fixed* window use [`spawn_project_loop_with_window`].
+/// whole backlog — no tuning knob to set wrong.
 pub fn spawn_project_loop<E>(
     service: ProjectService<E>,
 ) -> (ProjectHandle, std::thread::JoinHandle<()>)
 where
     E: ScriptExecutor + Default + Send + 'static,
 {
-    spawn_project_loop_with_window(service, None)
-}
-
-/// [`spawn_project_loop`] with a fixed group-commit window cap: up to
-/// `max_batch` queued requests execute back-to-back before one journal
-/// append+fsync covers them all (`Some(1)` restores per-request
-/// durability cost). The measurement seam behind the adaptive default.
-pub fn spawn_project_loop_with_window<E>(
-    service: ProjectService<E>,
-    max_batch: Option<usize>,
-) -> (ProjectHandle, std::thread::JoinHandle<()>)
-where
-    E: ScriptExecutor + Default + Send + 'static,
-{
     let (tx, rx) = unbounded();
     let tail = service.tail_hub();
-    let join = std::thread::spawn(move || run_command_loop_with_window(service, &rx, max_batch));
+    let join = std::thread::spawn(move || run_command_loop(service, &rx));
     (
         ProjectHandle {
             tx,
@@ -764,68 +748,81 @@ where
     )
 }
 
-/// The command loop body with the adaptive group-commit window (see
-/// [`spawn_project_loop`]). Exposed for callers that want to run the
-/// loop on a thread they own (the TCP binary, benches).
-pub fn run_command_loop<E>(service: ProjectService<E>, rx: &Receiver<Envelope>)
+/// Takes one group-commit batch: `first` plus what is queued behind it
+/// right now, up to [`MAX_GROUP_COMMIT_WINDOW`]. Latency under light load
+/// is one request, and a burst costs one fsync per backlog.
+pub(crate) fn form_batch<T>(first: T, rx: &Receiver<T>) -> Vec<T> {
+    let window = rx.len().saturating_add(1).min(MAX_GROUP_COMMIT_WINDOW);
+    let mut batch = Vec::with_capacity(window);
+    batch.push(first);
+    while batch.len() < window {
+        match rx.try_recv() {
+            Ok(next) => batch.push(next),
+            Err(_) => break,
+        }
+    }
+    batch
+}
+
+/// Flushes a group-commit window and returns the error its successful
+/// mutations must answer instead of their replies, or `None` when the
+/// window is durable. A flush failure is that error. So is a poisoning
+/// the window's own requests triggered: an explicit marker, not inferred
+/// from journaling-state deltas, which a legitimate `Init` swap would
+/// trip. Either way none of the window's mutations reached stable
+/// storage, and acking them would lie.
+pub(crate) fn settle_window<E>(service: &mut ProjectService<E>) -> Option<ApiError>
 where
     E: ScriptExecutor + Default,
 {
-    run_command_loop_with_window(service, rx, None);
+    let flushed = service.flush();
+    let poisoned = service.take_journal_poisoned();
+    match flushed {
+        Err(e) => Some(ApiError::from(e)),
+        Ok(()) if poisoned => Some(ApiError::Journal {
+            reason: "durability was disabled mid-batch; the batch is not on stable storage"
+                .to_string(),
+        }),
+        Ok(()) => None,
+    }
 }
 
-/// [`run_command_loop`] with an optional fixed window cap; `None` derives
-/// each window from the queue depth at batch formation (small when idle
-/// for latency, up to [`MAX_GROUP_COMMIT_WINDOW`] under burst).
-///
-/// Set `DAMOCLES_LOOP_STATS=1` to print batch-formation statistics on
-/// exit (used by the throughput bench to verify batches actually fill).
-pub fn run_command_loop_with_window<E>(
-    mut service: ProjectService<E>,
-    rx: &Receiver<Envelope>,
-    max_batch: Option<usize>,
-) where
+/// Sends a settled window's `(reply, mutating, response)`s, answering
+/// `error` (see [`settle_window`]) in place of each successful mutation.
+/// Read-only requests still answer, and so does a request that already
+/// failed (frozen view, unknown OID): it wrote nothing the flush could
+/// lose, and its own diagnostic is the useful one.
+pub(crate) fn send_settled(
+    replies: impl IntoIterator<Item = (Sender<Response>, bool, Response)>,
+    error: Option<&ApiError>,
+) {
+    for (reply, mutating, resp) in replies {
+        let resp = match error {
+            Some(err) if mutating && !resp.is_error() => Response::Error(err.clone()),
+            _ => resp,
+        };
+        let _ = reply.send(resp);
+    }
+}
+
+/// The command loop body with the adaptive group-commit window (see
+/// [`spawn_project_loop`]). Exposed for callers that want to run the
+/// loop on a thread they own (the TCP binary, benches).
+pub fn run_command_loop<E>(mut service: ProjectService<E>, rx: &Receiver<Envelope>)
+where
     E: ScriptExecutor + Default,
 {
     let _ = service.set_group_commit(true);
-    let mut n_batches = 0u64;
-    let mut n_reqs = 0u64;
     // Executed-but-unacked requests of the current group-commit window.
     let mut pending: Vec<(Sender<Response>, bool, Response)> = Vec::new();
     // A stale poison marker from the service's pre-loop life was already
     // reported to whoever called it directly; don't charge it to the
     // first window.
     let _ = service.take_journal_poisoned();
-    // Flushes the window and sends the pending replies. A flush failure
-    // — or a poisoning the executed requests themselves triggered
-    // (explicit marker, NOT inferred from journaling-state deltas, which
-    // a legitimate `Init` swap would trip) — turns every mutating reply
-    // into the journal error: none of those mutations reached stable
-    // storage, and acking them would lie. Read-only requests still
-    // answer.
     let settle = |service: &mut ProjectService<E>,
                   pending: &mut Vec<(Sender<Response>, bool, Response)>| {
-        let flushed = service.flush();
-        let poisoned = service.take_journal_poisoned();
-        let error = match flushed {
-            Err(e) => Some(ApiError::from(e)),
-            Ok(()) if poisoned => Some(ApiError::Journal {
-                reason: "durability was disabled mid-batch; the batch is not on stable storage"
-                    .to_string(),
-            }),
-            Ok(()) => None,
-        };
-        for (reply, mutating, resp) in pending.drain(..) {
-            let resp = match &error {
-                // Only successful mutations are downgraded: a request
-                // that already failed (frozen view, unknown OID) wrote
-                // nothing the flush could lose, and its own diagnostic
-                // is the useful one.
-                Some(err) if mutating && !resp.is_error() => Response::Error(err.clone()),
-                _ => resp,
-            };
-            let _ = reply.send(resp);
-        }
+        let error = settle_window(service);
+        send_settled(pending.drain(..), error.as_ref());
     };
     loop {
         // Block for the next request — but while detached invocations
@@ -848,27 +845,7 @@ pub fn run_command_loop_with_window<E>(
                 None => break,
             }
         };
-        // Adaptive window: what is queued right now is the batch (plus
-        // the request just taken), so latency under light load is one
-        // request and throughput under burst is one fsync per backlog —
-        // bounded by the ceiling. An explicit fixed window (the
-        // measurement seam) is honored as requested, ceiling included:
-        // harnesses exist to measure exactly the window they asked for.
-        let window = match max_batch {
-            Some(fixed) => fixed.max(1),
-            None => rx.len().saturating_add(1).clamp(1, MAX_GROUP_COMMIT_WINDOW),
-        };
-        let mut batch = Vec::with_capacity(window);
-        batch.push(first);
-        while batch.len() < window {
-            match rx.try_recv() {
-                Ok(env) => batch.push(env),
-                Err(_) => break,
-            }
-        }
-        n_batches += 1;
-        n_reqs += batch.len() as u64;
-        for env in batch {
+        for env in form_batch(first, rx) {
             let Envelope { request, reply, .. } = env;
             // A barrier re-bases durable state (checkpoint, recover,
             // load, …): settle the window before it runs so every reply
@@ -896,12 +873,6 @@ pub fn run_command_loop_with_window<E>(
     // end every tail subscription.
     let _ = service.set_group_commit(false);
     service.tail_hub().close();
-    if std::env::var_os("DAMOCLES_LOOP_STATS").is_some() {
-        eprintln!(
-            "loop stats: {n_reqs} requests in {n_batches} batches (avg {:.1})",
-            n_reqs as f64 / n_batches.max(1) as f64
-        );
-    }
 }
 
 // ---------------------------------------------------------------------

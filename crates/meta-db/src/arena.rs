@@ -9,18 +9,14 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use serde::{Deserialize, Serialize};
-
 /// A generational index into an [`Arena`].
 ///
 /// The `PhantomData` tag keeps indices of different element types from being
 /// confused at compile time (an `ArenaIndex<OidEntry>` cannot index an
 /// `Arena<Link>`).
-#[derive(Serialize, Deserialize)]
 pub struct ArenaIndex<T> {
     slot: u32,
     generation: u32,
-    #[serde(skip)]
     _marker: PhantomData<fn() -> T>,
 }
 

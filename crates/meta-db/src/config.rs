@@ -10,15 +10,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::db::{MetaDb, OidId};
 use crate::error::MetaError;
 use crate::link::{Direction, LinkClass, LinkId};
 use crate::oid::Oid;
 
 /// The traversal rule used when snapshotting a hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotRule {
     /// Follow only `use` links (hierarchy within a view), downwards.
     Hierarchy,
@@ -33,7 +31,7 @@ pub enum SnapshotRule {
 /// them and [`Configuration::resolve`] either tolerates or rejects them, so a
 /// snapshot taken early in the design cycle degrades gracefully — exactly the
 /// light-weight behaviour the paper claims.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     name: String,
     oids: Vec<OidId>,

@@ -10,8 +10,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arena::ArenaIndex;
 use crate::db::OidId;
 use crate::intern::{Sym, SymSet};
@@ -21,7 +19,7 @@ use crate::property::PropertyMap;
 pub type LinkId = ArenaIndex<Link>;
 
 /// The two link classes of Section 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LinkClass {
     /// Hierarchy within a view: parent and child are the same view type
     /// (e.g. `<cpu,SCHEMA,4>` uses `<reg,SCHEMA,2>`).
@@ -45,7 +43,7 @@ impl fmt::Display for LinkClass {
 /// way, like comments which help the user in visualizing the data flow" —
 /// Section 3.2. We still model the four common types the paper enumerates,
 /// plus free-form ones.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LinkKind {
     /// Hierarchical decomposition of data.
     Composition,
@@ -103,7 +101,7 @@ impl fmt::Display for LinkKind {
 ///   data.
 /// * [`Direction::Up`] travels `to → from` — the direction of
 ///   `post lvs up` from a layout back to its schematic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// From source/parent towards derived/child objects.
     Down,

@@ -7,15 +7,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MetaError;
 
 /// A design block name, e.g. `cpu` or `reg`.
 ///
 /// Block names are case-preserving but compared case-sensitively, matching
 /// the paper's examples which freely mix `CPU` and `cpu`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockName(String);
 
 impl BlockName {
@@ -57,7 +55,7 @@ impl From<&str> for BlockName {
 /// A design view type, e.g. `HDL_model`, `schematic`, `netlist`, `layout`.
 ///
 /// "OIDs are instances of views defined in the BluePrint" — Section 3.2.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ViewType(String);
 
 impl ViewType {
@@ -129,7 +127,7 @@ fn validate_component(s: &str, what: &str) -> Result<(), MetaError> {
 /// assert_eq!(oid.to_string(), "reg,verilog,4");
 /// # Ok::<(), damocles_meta::MetaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Oid {
     /// The design block this object describes.
     pub block: BlockName,

@@ -9,8 +9,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A property value: a typed atom.
 ///
 /// Atoms are classified on construction: `true`/`false` become [`Value::Bool`],
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// // Mixed-type comparison goes through the canonical string form:
 /// assert!(Value::Int(4).loose_eq(&Value::Str("4".into())));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A boolean atom (`true` / `false`).
     Bool(bool),
@@ -119,7 +117,7 @@ impl From<String> for Value {
 /// An ordered property map, as attached to OIDs and Links.
 ///
 /// Ordered (`BTreeMap`) so snapshots and audit dumps are deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PropertyMap {
     entries: BTreeMap<String, Value>,
 }

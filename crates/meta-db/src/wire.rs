@@ -14,8 +14,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MetaError;
 use crate::link::Direction;
 use crate::oid::Oid;
@@ -36,7 +34,7 @@ use crate::oid::Oid;
 /// assert_eq!(msg.to_string(), r#"postEvent ckin up reg,verilog,4 "logic sim passed""#);
 /// # Ok::<(), damocles_meta::MetaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventMessage {
     /// The event name (`ckin`, `hdl_sim`, `outofdate`, …).
     pub event: String,
